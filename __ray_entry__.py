@@ -312,18 +312,23 @@ def _round_cols(ds: "ray.data.Dataset", spec: dict[str, int]) -> "ray.data.Datas
 
 
 def entry() -> Any:
-    """Flagship: sf0.001 documents + synthetic north-rule corpus → prep →
-    extraction kernel → canonicalized triples (streaming end to end)."""
+    """Flagship: sf0.001 documents + synthetic north-rule corpus → the fused
+    prep + extraction kernel + flatten actor → canonicalized triples
+    (streaming end to end)."""
     sf_dir = "/root/testdata/sf0.001"
     corpus = documents_as_corpus(sf_dir).union(
         ray.data.read_parquet(_synth_corpus_dir(sf_dir))
     )
-    docs = kgp.documents_dataset(corpus)
     lex = {**ENTITY_LEXICON, **DOC_LEXICON}
     trig = {**EVENT_TRIGGERS, **DOC_TRIGGERS}
-    predicted = kgp.extract(docs, concurrency=_kernel_conc(), entity_lexicon=lex,
-                            relation_patterns=RELATION_PATTERNS, event_triggers=trig)
-    return kgp.triples_dataset(predicted)
+    return corpus.map_batches(
+        kgp.ExtractToTriples,
+        fn_constructor_kwargs=dict(entity_lexicon=lex,
+                                   relation_patterns=RELATION_PATTERNS,
+                                   event_triggers=trig),
+        batch_format="pyarrow", batch_size=kgp.DEFAULT_KERNEL_BATCH_SIZE,
+        concurrency=_kernel_conc(), num_cpus=1,
+    )
 
 
 # ---------------------------------------------------------------- queries

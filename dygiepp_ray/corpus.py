@@ -162,7 +162,8 @@ def scaled_entity_lexicon(n_files: int) -> dict[str, str]:
                 max(0, int(12 * math.sqrt(n_files / 100.0)) - 12))
     lex = dict(ENTITY_LEXICON)
     for k in range(extra):
-        phrase = f"{_EXTRA_ADJ[k % 16]} {_EXTRA_NOUN[k // 16]}"
+        phrase = (f"{_EXTRA_ADJ[k % len(_EXTRA_ADJ)]} "
+                  f"{_EXTRA_NOUN[k // len(_EXTRA_ADJ)]}")
         lex[phrase] = _EXTRA_TYPES[k % 4]
     return lex
 

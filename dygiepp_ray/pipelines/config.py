@@ -75,10 +75,9 @@ def _sha256(ds, params):
 
 @register_stage("prep")
 def _prep(ds, params):
-    from ..stages.prep import corpus_to_documents, split_long_documents
+    from .kg import documents_dataset
 
-    ds = ds.map_batches(corpus_to_documents, batch_format="pyarrow")
-    return ds.map_batches(split_long_documents, batch_format="pyarrow")
+    return documents_dataset(ds)
 
 
 class NamespacedKernel:

@@ -1,9 +1,14 @@
 """Flagship KG-construction pipeline (SURVEY.md §7.1; reference lifecycle §3.2).
 
-read_parquet(corpus) → bucket stamp → [resume filter] → sha256 stamp →
-doc-prep (P1-P4) → ExtractionKernel actor pool (M1-M8) → flatten triples
-(S5/P12-P14) → write partitioned Parquet + per-bucket lineage manifests.
-Count tables (A1) stream through partial+final grouped counts.
+read_parquet(corpus) → bucket stamp → [resume filter] → `ExtractToTriples`
+actor pool: doc-prep (P1-P4, content sha256) → relation decode (M1-M8) →
+flatten triples (S5/P12-P14), fused in one `__call__` → write partitioned
+Parquet + per-bucket lineage manifests. Count tables (A1) stream through
+partial+final grouped counts.
+
+The documents product (`documents_dataset` → `extract`: tokenized documents
+with `predicted_*` columns) runs the same prep, `_prep_docs`, and its
+triples come from the same flatten (`FlattenTriples`).
 
 Everything is lazy/streaming until the sink; no driver-side materialization of
 document or triple data.
@@ -18,7 +23,6 @@ import ray.data
 
 from ..aggregates import grouped_count
 from ..stages.kernel import ExtractionKernel
-from ..stages.prep import corpus_to_documents, split_long_documents, stamp_sha256
 from ..stages.triples import FlattenTriples
 from ..state.manifest import (
     assign_buckets,
@@ -44,24 +48,9 @@ def read_corpus(input_dir: str, read_num_cpus: float | None = None) -> "ray.data
     return ray.data.read_parquet(input_dir, **kwargs)
 
 
-def documents_dataset(corpus: "ray.data.Dataset", n_buckets: int | None = None,
-                      skip_buckets: set[int] | None = None) -> "ray.data.Dataset":
+def documents_dataset(corpus: "ray.data.Dataset") -> "ray.data.Dataset":
     """corpus rows → prepped document rows (no kernel yet)."""
-    ds = corpus
-    if n_buckets:
-        ds = ds.map_batches(assign_buckets(n_buckets), batch_format="pyarrow")
-        if skip_buckets:
-            skip = pa.array(sorted(skip_buckets), pa.int32())
-
-            def drop_done(batch: pa.Table) -> pa.Table:
-                mask = pc.invert(pc.is_in(batch.column("bucket"), value_set=skip))
-                return batch.filter(mask)
-
-            ds = ds.map_batches(drop_done, batch_format="pyarrow")
-    ds = ds.map_batches(stamp_sha256, batch_format="pyarrow")
-    ds = ds.map_batches(corpus_to_documents, batch_format="pyarrow")
-    ds = ds.map_batches(split_long_documents, batch_format="pyarrow")
-    return ds
+    return corpus.map_batches(documents_batch, batch_format="pyarrow")
 
 
 def extract(documents: "ray.data.Dataset",
@@ -76,15 +65,6 @@ def extract(documents: "ray.data.Dataset",
         batch_size=batch_size,
         concurrency=concurrency,
         num_cpus=1,
-    )
-
-
-def triples_dataset(predicted: "ray.data.Dataset",
-                    label_map: dict[str, str] | None = None,
-                    use_coref_substitution: bool = True) -> "ray.data.Dataset":
-    return predicted.map_batches(
-        FlattenTriples(label_map=label_map, use_coref_substitution=use_coref_substitution),
-        batch_format="pyarrow",
     )
 
 
@@ -163,85 +143,108 @@ def _arrow_fast_sentences(texts: list[str]) -> list:
     return out
 
 
-class ExtractToTriples:
-    """Fused actor stage: (optional prep) + kernel + flatten in one
-    `__call__`, so neither the tokenized document rows nor the wide nested
-    `predicted_*` columns ever enter the object store — only the (much
-    smaller) triple rows do. This is the hot path for build_kg / kg_triples;
-    use `extract` + `triples_dataset` when the predicted document table
-    itself is the product.
+def _prep_docs(batch: pa.Table):
+    """The one doc-prep (P1-P4, P15) of both products: corpus rows
+    `(repo, path, commit, lang, content)` → extract_text → Arrow fast
+    sentences, with the regex tokenize fallback per doc → P15 drop → P3
+    split. Yields `(row, doc_key, sentences, pre_lowered, content_sha256)`
+    per document chunk; `row` indexes `batch`. `pre_lowered` marks
+    fast-path sentences, which are lowercase already.
 
-    With `do_prep=True` the input is raw corpus rows `(repo, path, commit,
-    lang, content[, bucket])` and the whole chain S-sha256 → P1-P3 → M1-M8 →
-    S5/P12 runs inside the actor."""
+    A row whose `content` is null extracts to no text and is dropped like
+    any document without sentences, so one malformed row cannot fail a
+    build. The helpers are looked up at call time (function-local imports,
+    module globals) so that tracers and tests can patch them."""
+    from ..functions.strings import sentence_split, sha256_hex, tokenize
+    from ..schema import MAX_TOKENS_PER_DOC
+    from ..stages.prep import extract_text, split_document
+
+    word_norm = {"/.": ".", "/?": "?"}.get  # word_normalize, inlined
+    contents = batch.column("content").to_pylist()
+    texts = ["" if c is None else extract_text(c, lg)
+             for c, lg in zip(contents, batch.column("lang").to_pylist())]
+    fast_sents = _arrow_fast_sentences(texts)
+    for i, (repo, path, commit) in enumerate(zip(
+        batch.column("repo").to_pylist(), batch.column("path").to_pylist(),
+        batch.column("commit").to_pylist(),
+    )):
+        sents = fast_sents[i]
+        pre_lowered = sents is not None
+        if not pre_lowered:
+            sents = [[word_norm(t, t) for t in toks]
+                     for s in sentence_split(texts[i])
+                     if (toks := tokenize(s))]
+        if not sents or any("" in s for s in sents):  # P15 drop
+            continue
+        sha = sha256_hex(contents[i])
+        key = f"{repo}:{path}@{commit[:8]}"
+        if sum(len(s) for s in sents) <= MAX_TOKENS_PER_DOC:
+            yield i, key, sents, pre_lowered, sha
+            continue
+        for child_key, chunk in split_document(key, sents):
+            yield i, child_key, chunk, pre_lowered, sha
+
+
+def documents_batch(batch: pa.Table) -> pa.Table:
+    """corpus rows → document rows, one per document chunk (flat-map
+    shaped `map_batches`): `doc_key`, `dataset`, `sentences`,
+    `sentence_starts`, `content_sha256`, `repo`, `path` (+ `bucket` when
+    the input has it). doc_key = `{repo}:{path}@{commit[:8]}`, unique per
+    FIXTURES.md §2; split children get `{doc_key}_SPLIT_{i}`."""
+    from ..functions.strings import cumsum_shifted
+
+    docs = list(_prep_docs(batch))
+    out = {
+        "doc_key": pa.array([d[1] for d in docs], pa.string()),
+        "dataset": pa.array(["codekb"] * len(docs), pa.string()),
+        "sentences": pa.array([d[2] for d in docs],
+                              pa.list_(pa.list_(pa.string()))),
+        "sentence_starts": pa.array(
+            [cumsum_shifted([len(s) for s in d[2]]) for d in docs],
+            pa.list_(pa.int32())),
+        "content_sha256": pa.array([d[4] for d in docs], pa.string()),
+    }
+    rows = pa.array([d[0] for d in docs], pa.int64())
+    for name, typ in (("repo", pa.string()), ("path", pa.string()),
+                      ("bucket", pa.int32())):
+        if name in batch.column_names:
+            out[name] = batch.column(name).take(rows).cast(typ)
+    return pa.table(out)
+
+
+class ExtractToTriples:
+    """Fused actor stage of build_kg / kg_triples: raw corpus rows
+    `(repo, path, commit, lang, content[, bucket])` in, triple rows out —
+    prep (`_prep_docs`) → `ExtractionKernel.decode_triples_document` →
+    `FlattenTriples.rows_for_doc_flat` in one `__call__`, so neither the
+    tokenized document rows nor the wide nested `predicted_*` columns ever
+    enter the object store; only the (much smaller) triple rows do. The
+    staged chain round-tripped them through pyarrow twice per hop, which
+    profiled at ~45% of the stage's wall time. The triples equal
+    `documents_dataset` → `extract` → `FlattenTriples` (pinned by
+    tests/test_kernel_decode.py::test_fused_stage_equals_documents_product).
+
+    `do_prep` is accepted for old callers and must be True."""
 
     def __init__(self, label_map=None, use_coref_substitution=True,
-                 do_prep: bool = False, **kernel_kwargs):
+                 do_prep: bool = True, **kernel_kwargs):
+        if do_prep is not True:
+            raise ValueError("ExtractToTriples takes raw corpus rows: "
+                             "do_prep must be True")
         self.kernel = ExtractionKernel(**kernel_kwargs)
         self.flatten = FlattenTriples(label_map=label_map,
                                       use_coref_substitution=use_coref_substitution)
-        self.do_prep = do_prep
 
     def __call__(self, batch):
-        if not self.do_prep:
-            return self.flatten(self.kernel(batch))
-        # fully-fused Python path: corpus rows → triples with ZERO
-        # intermediate Arrow materialization — the prep/kernel/flatten stages
-        # otherwise round-trip the (wide, nested) document and prediction
-        # structures through pyarrow twice per hop, which profiled at ~45% of
-        # the stage's wall time. Semantics identical to
-        # stamp_sha256 → corpus_to_documents → split_long_documents →
-        # kernel decode → FlattenTriples rows (pinned by
-        # tests/test_kernel_decode.py::test_fused_triples_path_equivalence).
-        # Canonical coref mode takes the tuple-based decode
-        # (decode_triples_document / rows_for_doc_flat) — no per-hit dicts,
-        # no event decode, cutting the Python-object churn that made the
-        # 16-actor level DRAM-bound (BASELINE.md round-3 actor scan);
-        # antecedent mode falls back to the dict path (its clusters differ).
-        from ..functions.strings import sentence_split, sha256_hex, tokenize
-        from ..schema import MAX_TOKENS_PER_DOC
-        from ..stages.prep import extract_text, split_document
-
-        fast = self.kernel.coref_mode == "canonical"
-        word_norm = {"/.": ".", "/?": "?"}.get  # word_normalize, inlined
         out = self.flatten.empty_out()
         has_bucket = "bucket" in batch.column_names
         buckets = batch.column("bucket").to_pylist() if has_bucket else None
-        contents = batch.column("content").to_pylist()
-        langs = batch.column("lang").to_pylist()
-        texts = [extract_text(c, lg) for c, lg in zip(contents, langs)]
-        fast_sents = _arrow_fast_sentences(texts)
-        for i, (repo, path, commit, content) in enumerate(zip(
-            batch.column("repo").to_pylist(), batch.column("path").to_pylist(),
-            batch.column("commit").to_pylist(), contents,
-        )):
-            sha = sha256_hex(content)
-            sents = fast_sents[i]
-            pre_lowered = sents is not None
-            if not pre_lowered:
-                sents = [[word_norm(t, t) for t in toks]
-                         for s in sentence_split(texts[i])
-                         if (toks := tokenize(s))]
-            if not sents or any("" in s for s in sents):  # P15 drop
-                continue
-            key = f"{repo}:{path}@{commit[:8]}"
-            total = sum(len(s) for s in sents)
-            parts = ([(key, sents)] if total <= MAX_TOKENS_PER_DOC
-                     else split_document(key, sents))
-            bucket = buckets[i] if buckets is not None else None
-            for child_key, chunk in parts:
-                if fast:
-                    rel_rows, clusters, _failed = \
-                        self.kernel.decode_triples_document(
-                            chunk, pre_lowered=pre_lowered)
-                    self.flatten.rows_for_doc_flat(out, child_key, chunk,
-                                                   rel_rows, clusters, sha,
-                                                   bucket)
-                else:
-                    _ner, doc_rel, _evt, clusters, _failed = \
-                        self.kernel.decode_document(chunk)
-                    self.flatten.rows_for_doc(out, child_key, chunk, doc_rel,
-                                              clusters, sha, bucket)
+        for i, key, sents, pre_lowered, sha in _prep_docs(batch):
+            rel_rows, clusters, _failed = self.kernel.decode_triples_document(
+                sents, pre_lowered=pre_lowered)
+            self.flatten.rows_for_doc_flat(
+                out, key, sents, rel_rows, clusters, sha,
+                buckets[i] if has_bucket else None)
         return self.flatten.to_table(out, has_bucket)
 
 
@@ -262,7 +265,7 @@ def kg_triples(input_dir: str, concurrency=DEFAULT_KERNEL_CONCURRENCY,
     read_cpus = None if actor_num_cpus >= 1 else actor_num_cpus / 2
     return read_corpus(input_dir, read_num_cpus=read_cpus).map_batches(
         ExtractToTriples,
-        fn_constructor_kwargs=dict(label_map=label_map, do_prep=True, **kernel_kwargs),
+        fn_constructor_kwargs=dict(label_map=label_map, **kernel_kwargs),
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
@@ -387,7 +390,7 @@ def build_kg(input_dir: str, out_dir: str, n_buckets: int = 16, resume: bool = T
         corpus = corpus.map_batches(drop_done, batch_format="pyarrow")
     triples = corpus.map_batches(
         ExtractToTriples,
-        fn_constructor_kwargs=dict(do_prep=True, **kernel_kwargs),
+        fn_constructor_kwargs=kernel_kwargs,
         batch_format="pyarrow", batch_size=batch_size,
         concurrency=concurrency, num_cpus=1,
     )
@@ -469,8 +472,7 @@ def build_kg_incremental(input_dir: str, out_dir: str,
         return t.drop_columns(["bucket"]).append_column("shard", shard)
 
     triples = corpus.map_batches(
-        ExtractToTriples, fn_constructor_kwargs=dict(do_prep=True),
-        batch_format="pyarrow", batch_size=batch_size,
+        ExtractToTriples, batch_format="pyarrow", batch_size=batch_size,
         concurrency=concurrency, num_cpus=1,
     ).map_batches(ord_to_stem, batch_format="pyarrow")
     triples.write_parquet(out_dir, partition_cols=["shard"])

@@ -1259,18 +1259,9 @@ def _scc_shuffle(edges: "ray.data.Dataset", src: str, dst: str,
     out_parts: list = []
     rounds = 0
 
-    import os as _os
-    import sys as _sys
-    import time as _time
-    _dbg = bool(_os.environ.get("GRAFT_SCC_DEBUG"))
-    _t0 = _time.time()
-
-    def tick(phase: str = "?"):
+    def tick():
         nonlocal rounds
         rounds += 1
-        if _dbg:
-            print(f"scc round {rounds} [{phase}] t={_time.time() - _t0:.1f}s "
-                  f"n_alive={n_alive}", file=_sys.stderr, flush=True)
         if rounds > max_rounds:
             raise RuntimeError(
                 f"_scc_shuffle: exceeded max_rounds={max_rounds} bucketed "
@@ -1322,7 +1313,7 @@ def _scc_shuffle(edges: "ray.data.Dataset", src: str, dst: str,
         # ---- trim fixpoint: alive nodes with in- or out-degree 0 over
         # the alive edge set are singleton SCCs
         while True:
-            tick("trim")
+            tick()
             deg = partial_final_agg(
                 e.map_batches(deg_both, batch_format="pyarrow"),
                 ["node"], [("outd", "outd_p", "sum"),
@@ -1356,7 +1347,7 @@ def _scc_shuffle(edges: "ray.data.Dataset", src: str, dst: str,
                                 "color": t.column("node")}),
             batch_format="pyarrow").materialize()
         while True:
-            tick("color")
+            tick()
             nbr = hash_join(
                 e, ren(colors, ["u", "color"]), on="u", n_buckets=n_buckets,
                 left_types={"u": node_type, "v": node_type},
@@ -1404,7 +1395,7 @@ def _scc_shuffle(edges: "ray.data.Dataset", src: str, dst: str,
             batch_format="pyarrow").materialize()
         m_count = marked.count()
         while True:
-            tick("mark")
+            tick()
             preds = hash_join(
                 ec, ren(marked, ["v"]), on="v", n_buckets=n_buckets,
                 left_types={"u": node_type, "v": node_type},

@@ -432,6 +432,46 @@ _NER_SOFT_ROUNDED: dict[int, float] = {}
 _TRIG_SOFT_ROUNDED: dict[int, float] = {}
 
 
+def _top_hits(mentions: list[float], beam: int) -> list[int]:
+    """M4 over lexicon hits: the top-`beam` mention scores (ties break toward
+    the earlier span, as torch.topk), re-sorted to textual order."""
+    if len(mentions) <= beam:
+        return list(range(len(mentions)))
+    return sorted(sorted(range(len(mentions)),
+                         key=lambda i: (-mentions[i], i))[:beam])
+
+
+def _lexicon_relations(lower: list[str], scorer: LexiconScorer):
+    """The one lexicon relation decode of a (lowercased) sentence: hits,
+    mention scores, the M4 pruned `kept` set and the M5 pattern-pair loop.
+    `extract_sentence_fast` and `ExtractionKernel.decode_triples_document`
+    both build their output from it. Returns (hits, texts, mentions, rels)
+    with rels = [(s1, e1, s2, e2, label_ix, m12)] in ai-outer/bi-inner
+    order and m12 the summed mention score of the pair."""
+    hits = scorer.find_hits(lower)  # [(s, e, lab)] in span-enumeration order
+    if not hits:
+        return hits, [], [], []
+    texts = [" ".join(lower[s : e + 1]) for (s, e, _lab) in hits]
+    mentions = [2.0 + _jitter(t) for t in texts]
+    k = max(1, math.ceil(RELATION_SPANS_PER_WORD * len(lower)))
+    kept = range(len(hits)) if len(hits) <= k else _top_hits(mentions, k)
+    rel_get = scorer.rel_label.get
+    maxpat = scorer.max_pattern_len
+    rels = []
+    for ai in kept:
+        s1, e1, _ = hits[ai]
+        for bi in kept:
+            if ai == bi:
+                continue
+            s2, e2, _ = hits[bi]
+            if e1 < s2 and (s2 - e1 - 1) <= maxpat:
+                lab = rel_get(" ".join(lower[e1 + 1 : s2]))
+                if lab is not None:
+                    rels.append((s1, e1, s2, e2, lab,
+                                 mentions[ai] + mentions[bi]))
+    return hits, texts, mentions, rels
+
+
 def extract_sentence_fast(tokens: list[str], scorer: LexiconScorer):
     """Output-identical fast path of `extract_sentence` (the slow version is
     the executable spec; tests/test_kernel_decode.py asserts equivalence).
@@ -450,13 +490,11 @@ def extract_sentence_fast(tokens: list[str], scorer: LexiconScorer):
     """
     n = len(tokens)
     lower = [t.lower() for t in tokens]
-    hits = scorer.find_hits(lower)  # [(s, e, lab)] in span-enumeration order
+    hits, _texts, mentions, rels = _lexicon_relations(lower, scorer)
 
     pred_ner = []
-    texts = []
     ner_soft = _NER_SOFT_ROUNDED
     for (s, e, lab) in hits:
-        texts.append(" ".join(lower[s : e + 1]))
         sm = ner_soft.get(lab)
         if sm is None:
             sm = ner_soft[lab] = _round(_ner_softmax(lab))
@@ -467,36 +505,15 @@ def extract_sentence_fast(tokens: list[str], scorer: LexiconScorer):
                 "softmax_score": sm,
             }
         )
-    mentions = [2.0 + _jitter(t) for t in texts]
-
-    def top_hits(beam: int) -> list[int]:
-        if len(hits) <= beam:
-            return list(range(len(hits)))
-        order = sorted(range(len(hits)), key=lambda i: (-mentions[i], i))[:beam]
-        return sorted(order)
-
-    # --- relations among pruned hits
-    k = max(1, math.ceil(RELATION_SPANS_PER_WORD * n))
-    kept = top_hits(k)
-    pred_rels = []
-    for ai in kept:
-        s1, e1, _ = hits[ai]
-        for bi in kept:
-            if ai == bi:
-                continue
-            s2, e2, _ = hits[bi]
-            if e1 < s2 and (s2 - e1 - 1) <= scorer.max_pattern_len:
-                lab = scorer.rel_label.get(" ".join(lower[e1 + 1 : s2]))
-                if lab is not None:
-                    m12 = mentions[ai] + mentions[bi]
-                    pred_rels.append(
-                        {
-                            "s1": s1, "e1": e1, "s2": s2, "e2": e2,
-                            "label": RELATION_LABELS[lab],
-                            "raw_score": _round(6.0 + m12),
-                            "softmax_score": _round(_rel_softmax(m12, lab)),
-                        }
-                    )
+    pred_rels = [
+        {
+            "s1": s1, "e1": e1, "s2": s2, "e2": e2,
+            "label": RELATION_LABELS[lab],
+            "raw_score": _round(6.0 + m12),
+            "softmax_score": _round(_rel_softmax(m12, lab)),
+        }
+        for (s1, e1, s2, e2, lab, m12) in rels
+    ]
 
     # --- events (beam_size inlined — 2 calls per sentence profiled hot;
     # floor == int() for non-negative ratios, same clamps)
@@ -505,7 +522,7 @@ def extract_sentence_fast(tokens: list[str], scorer: LexiconScorer):
     triggers = [(i, scorer.trig_label[t]) for i, t in enumerate(lower) if t in scorer.trig_label]
     triggers = triggers[:trig_beam]  # all trigger scores tie at 4.0 → lowest indexes win
     arg_beam = min(ARG_BEAM_MAX, max(ARG_BEAM_MIN, int(ARG_BEAM_RATIO * n)))
-    arg_hits = top_hits(arg_beam)
+    arg_hits = _top_hits(mentions, arg_beam)
     pred_events = []
     for trig_ix, lab in triggers:
         args = []
@@ -805,6 +822,22 @@ def load_scorer_weights(path: str):
     )
 
 
+def flat_predictions(doc_rel: list[list[dict]], clusters) -> tuple:
+    """The dict→tuple adapter: one document's `predicted_relations` /
+    `predicted_clusters` (the documents product's shape) as the
+    `(rel_rows, clusters)` pair `FlattenTriples.rows_for_doc_flat` takes:
+
+        rel_rows = [(sent_ix, s1, e1, s2, e2, label_ix, conf), ...]
+        clusters = [[(doc_start, doc_end), ...], ...]
+    """
+    rel_rows = [
+        (six, r["s1"], r["e1"], r["s2"], r["e2"],
+         RELATION_LABELS.index(r["label"]), r["softmax_score"])
+        for six, rels in enumerate(doc_rel) for r in rels]
+    return rel_rows, [[(m["start"], m["end"]) for m in c]
+                      for c in clusters or ()]
+
+
 class ExtractionKernel:
     """Actor-pool `map_batches` stage (M1-M8). Lexicon tables are resolved
     once per actor in __init__ — pass either plain dicts, `ray.ObjectRef`s
@@ -885,8 +918,8 @@ class ExtractionKernel:
     def decode_document(self, sentences: list[list[str]]):
         """Per-document decode in plain Python: returns
         (doc_ner, doc_rel, doc_evt, clusters, failed). Shared by the Arrow
-        `__call__` stage and the fully-fused `ExtractToTriples` path (which
-        never materializes the wide nested prediction columns).
+        `__call__` stage (the documents product) and the fallback of
+        `decode_triples_document`.
 
         Poison-pill policy (SURVEY §4): one bad document becomes a
         `failed=True` marker, never a dead batch — mirroring the reference's
@@ -960,35 +993,24 @@ class ExtractionKernel:
 
     def decode_triples_document(self, sentences: list[list[str]],
                                 pre_lowered: bool = False):
-        """Bandwidth-lean decode for the fused triples path (canonical coref
-        mode only — `ExtractToTriples` falls back to `decode_document` for
-        antecedent mode). Returns `(rel_rows, clusters, failed)` with
+        """Bandwidth-lean decode for the fused triples path. Returns
+        `(rel_rows, clusters, failed)` in the shape `flat_predictions`
+        gives (the input of `FlattenTriples.rows_for_doc_flat`).
 
-            rel_rows = [(sent_ix, s1, e1, s2, e2, label_ix, conf), ...]
-            clusters = [[(doc_start, doc_end), ...], ...]
-
-        Output-equivalent to `decode_document` + the parts of it
-        `FlattenTriples.rows_for_doc` reads (pinned by
-        tests/test_kernel_decode.py): the triple table never reads NER rows
-        or events, so neither the per-hit dicts nor the event decode are
-        built — that Python-object churn was the measured DRAM ceiling at
-        16 actors (BASELINE.md round-3 actor scan). Row order matches the
-        dict path exactly (sentence-major, ai-outer/bi-inner)."""
-        if not self._lexicon_fast:
-            # learned scorers take the generic spec path; convert its dict
-            # output to the flat tuple shape the fused flatten consumes
-            doc_ner, doc_rel, _evt, clusters, failed = \
+        Lexicon scorer in canonical coref mode: the triple table never reads
+        NER rows or events, so neither the per-hit dicts nor the event
+        decode are built — that Python-object churn was the measured DRAM
+        ceiling at 16 actors (BASELINE.md round-3 actor scan) — and each
+        distinct sentence is decoded once per actor (the sentence memo).
+        Learned scorers and antecedent coref mode take `decode_document`
+        (the memo holds canonical clusters only). Output-equivalent to
+        `decode_document` + `flat_predictions` (pinned by
+        tests/test_kernel_decode.py)."""
+        if not self._lexicon_fast or self.coref_mode != "canonical":
+            _ner, doc_rel, _evt, clusters, failed = \
                 self.decode_document(sentences)
-            rel_rows = [
-                (six, r["s1"], r["e1"], r["s2"], r["e2"],
-                 RELATION_LABELS.index(r["label"]), r["softmax_score"])
-                for six, rels in enumerate(doc_rel) for r in rels]
-            tclusters = [[(m["start"], m["end"]) for m in c]
-                         for c in clusters]
-            return rel_rows, tclusters, failed
+            return (*flat_predictions(doc_rel, clusters), failed)
         scorer = self.scorer
-        rel_get = scorer.rel_label.get
-        maxpat = scorer.max_pattern_len
         canon = self._canon
         cache = self._sent_cache
         cache_get = cache.get
@@ -998,7 +1020,6 @@ class ExtractionKernel:
         offset = 0
         try:
             for sent_ix, sent in enumerate(sentences):
-                n = len(sent)
                 # pre_lowered: the Arrow fast prep (pipelines/kg.py) only
                 # admits all-lowercase ASCII text, so .lower() would be a
                 # per-token identity COPY — reuse the list instead
@@ -1006,38 +1027,16 @@ class ExtractionKernel:
                 ckey = "\x00".join(lower)
                 entry = cache_get(ckey)
                 if entry is None:
-                    local_rel: list[tuple] = []
-                    local_spans: list[tuple] = []
-                    hits = scorer.find_hits(lower)
-                    if hits:
-                        texts = [" ".join(lower[s : e + 1])
-                                 for (s, e, _lab) in hits]
-                        for (s, e, _lab), t in zip(hits, texts):
-                            key = canon(t)
-                            if key:
-                                local_spans.append((key, s, e))
-                        mentions = [2.0 + _jitter(t) for t in texts]
-                        k = max(1, math.ceil(RELATION_SPANS_PER_WORD * n))
-                        if len(hits) <= k:
-                            kept: list[int] = list(range(len(hits)))
-                        else:
-                            kept = sorted(sorted(
-                                range(len(hits)),
-                                key=lambda i: (-mentions[i], i))[:k])
-                        for ai in kept:
-                            s1, e1, _ = hits[ai]
-                            for bi in kept:
-                                if ai == bi:
-                                    continue
-                                s2, e2, _ = hits[bi]
-                                if e1 < s2 and (s2 - e1 - 1) <= maxpat:
-                                    lab = rel_get(
-                                        " ".join(lower[e1 + 1 : s2]))
-                                    if lab is not None:
-                                        m12 = mentions[ai] + mentions[bi]
-                                        local_rel.append((
-                                            s1, e1, s2, e2, lab,
-                                            _round(_rel_softmax(m12, lab))))
+                    hits, texts, _mentions, rels = \
+                        _lexicon_relations(lower, scorer)
+                    local_rel, local_spans = [], []
+                    for (s1, e1, s2, e2, lab, m12) in rels:
+                        local_rel.append((s1, e1, s2, e2, lab,
+                                          _round(_rel_softmax(m12, lab))))
+                    for (s, e, _lab), t in zip(hits, texts):
+                        key = canon(t)
+                        if key:
+                            local_spans.append((key, s, e))
                     if len(cache) >= self._sent_cache_cap:
                         cache.clear()  # epoch reset — bounded memory
                     entry = (local_rel, local_spans)
@@ -1047,7 +1046,7 @@ class ExtractionKernel:
                     rel_rows.append((sent_ix, s1, e1, s2, e2, lab, conf))
                 for (key, s, e) in local_spans:
                     setdefault(key, []).append((offset + s, offset + e))
-                offset += n
+                offset += len(sent)
             clusters = [v for v in span_registry.values() if len(v) >= 2]
             return rel_rows, clusters, False
         except Exception:  # noqa: BLE001 — per-row containment (SURVEY §4)

@@ -1,13 +1,11 @@
-"""Document preparation stages (SURVEY.md §2.2 P1-P4, P15; §7.1 doc-prep).
+"""Document preparation steps (SURVEY.md §2.2 P1-P4, P15; §7.1 doc-prep).
 
-Corpus rows `(repo, path, commit, lang, content)` → document rows
-(DOCUMENT_SCHEMA): extract text-bearing regions from code, sentence-split,
-tokenize, normalize, split over-long documents at sentence boundaries.
-
-All stages are `map_batches` functions over `batch_format="pyarrow"` batches.
-Text extraction is necessarily per-row (regex over strings) but each batch is
-processed with compiled patterns and list building — no Arrow→pandas
-conversion, no Python-object rows crossing the object store.
+The per-document pieces of the one prep that `pipelines/kg.py:_prep_docs`
+runs for both the fused triples actor and the documents product: extract
+text-bearing regions from code, and split over-long documents at sentence
+boundaries. Sentence-split / tokenize / normalize are the Arrow fast path in
+`pipelines/kg.py` with `functions/strings.py` as its per-document fallback.
+`stamp_sha256` is a standalone `map_batches` column stamp.
 
 Reference semantics reproduced:
 - P1 tokenize/sentence-split (scripts/new-dataset/format_new_dataset.py:12-31),
@@ -16,8 +14,9 @@ Reference semantics reproduced:
 - P3 greedy doc splitter ≤ MAX_TOKENS_PER_DOC at sentence boundaries, child
   keys `{key}_SPLIT_{i}`, error on over-long single sentences
   (document.py:184-236).
-- P15 empty-token validation: docs with empty-string tokens are dropped with a
-  counter, mirroring the load-time drop+report (document.py:158-165, 65-86).
+- P15 empty-token validation: docs with empty-string tokens are dropped, as
+  the reference's load-time validation drops them (document.py:158-165,
+  65-86; its drop report is not reproduced).
 """
 
 from __future__ import annotations
@@ -26,13 +25,7 @@ import re
 
 import pyarrow as pa
 
-from ..functions.strings import (
-    cumsum_shifted,
-    sentence_split,
-    sha256_hex,
-    tokenize,
-    word_normalize,
-)
+from ..functions.strings import sha256_hex
 from ..schema import MAX_TOKENS_PER_DOC
 
 _PY_DOCSTRING_RE = re.compile(r'"""(.*?)"""|\'\'\'(.*?)\'\'\'', re.S)
@@ -61,64 +54,6 @@ def stamp_sha256(batch: pa.Table) -> pa.Table:
     return batch.append_column("content_sha256", pa.array(shas, pa.string()))
 
 
-def corpus_to_documents(batch: pa.Table) -> pa.Table:
-    """P1+P2: corpus rows → document rows (one per input file).
-
-    doc_key = `{repo}:{path}@{commit[:8]}` (unique per FIXTURES.md §2).
-    """
-    repos = batch.column("repo").to_pylist()
-    paths = batch.column("path").to_pylist()
-    commits = batch.column("commit").to_pylist()
-    langs = batch.column("lang").to_pylist()
-    contents = batch.column("content").to_pylist()
-    shas = (
-        batch.column("content_sha256").to_pylist()
-        if "content_sha256" in batch.column_names
-        else [sha256_hex(c) for c in contents]
-    )
-
-    has_bucket = "bucket" in batch.column_names
-    buckets = batch.column("bucket").to_pylist() if has_bucket else [None] * len(repos)
-
-    out = {
-        "doc_key": [], "dataset": [], "sentences": [], "sentence_starts": [],
-        "content_sha256": [], "repo": [], "path": [], "bucket": [],
-    }
-    for repo, path, commit, lang, content, sha, bucket in zip(
-        repos, paths, commits, langs, contents, shas, buckets
-    ):
-        text = extract_text(content, lang)
-        sents = [
-            [word_normalize(t) for t in tokenize(s)]
-            for s in sentence_split(text)
-        ]
-        sents = [s for s in sents if s]
-        if not sents:
-            continue
-        if any(t == "" for s in sents for t in s):  # P15 hard error → drop
-            continue
-        out["doc_key"].append(f"{repo}:{path}@{commit[:8]}")
-        out["dataset"].append("codekb")
-        out["sentences"].append(sents)
-        out["sentence_starts"].append(cumsum_shifted([len(s) for s in sents]))
-        out["content_sha256"].append(sha)
-        out["repo"].append(repo)
-        out["path"].append(path)
-        out["bucket"].append(bucket)
-    cols = {
-        "doc_key": pa.array(out["doc_key"], pa.string()),
-        "dataset": pa.array(out["dataset"], pa.string()),
-        "sentences": pa.array(out["sentences"], pa.list_(pa.list_(pa.string()))),
-        "sentence_starts": pa.array(out["sentence_starts"], pa.list_(pa.int32())),
-        "content_sha256": pa.array(out["content_sha256"], pa.string()),
-        "repo": pa.array(out["repo"], pa.string()),
-        "path": pa.array(out["path"], pa.string()),
-    }
-    if has_bucket:
-        cols["bucket"] = pa.array(out["bucket"], pa.int32())
-    return pa.table(cols)
-
-
 def split_document(doc_key: str, sentences: list[list[str]], max_tokens: int = MAX_TOKENS_PER_DOC):
     """P3 greedy splitter (document.py:184-236): pack sentences into chunks of
     ≤ max_tokens; a single over-long sentence is an error (here: truncated to
@@ -140,31 +75,3 @@ def split_document(doc_key: str, sentences: list[list[str]], max_tokens: int = M
     if len(chunks) == 1:
         return [(doc_key, chunks[0])]
     return [(f"{doc_key}_SPLIT_{i}", c) for i, c in enumerate(chunks)]
-
-
-def split_long_documents(batch: pa.Table) -> pa.Table:
-    """P3 as a flat-map-shaped map_batches: may emit more rows than input."""
-    cols = {name: batch.column(name).to_pylist() for name in batch.column_names}
-    n = batch.num_rows
-    out: dict[str, list] = {name: [] for name in batch.column_names}
-    for i in range(n):
-        sents = cols["sentences"][i]
-        total = sum(len(s) for s in sents)
-        if total <= MAX_TOKENS_PER_DOC:
-            for name in batch.column_names:
-                out[name].append(cols[name][i])
-            continue
-        for child_key, chunk in split_document(cols["doc_key"][i], sents):
-            for name in batch.column_names:
-                if name == "doc_key":
-                    out[name].append(child_key)
-                elif name == "sentences":
-                    out[name].append(chunk)
-                elif name == "sentence_starts":
-                    out[name].append(cumsum_shifted([len(s) for s in chunk]))
-                else:
-                    out[name].append(cols[name][i])
-    arrays = []
-    for name in batch.column_names:
-        arrays.append(pa.array(out[name], batch.schema.field(name).type))
-    return pa.Table.from_arrays(arrays, names=batch.column_names)

@@ -12,7 +12,11 @@ the reference's KB TSV construction:
   - relation-label projection (P14): optional keep/rename map
     (dygie_pred_to_tsv.py:28-32, e.g. USED-FOR→MECHANISM)
 
-Stateless `map_batches` (flat-map shape), Arrow in / Arrow out.
+One flatten (`FlattenTriples.rows_for_doc_flat`) serves both products: the
+fused `ExtractToTriples` actor feeds it the kernel's tuple decode directly,
+and `FlattenTriples.__call__` (a `map_batches` callable, flat-map shape,
+Arrow in / Arrow out) feeds it a documents table's `predicted_*` columns
+through `kernel.flat_predictions`.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import pyarrow as pa
 
 from ..functions.strings import canonicalize, contains_reference
 from ..schema import TRIPLE_SCHEMA
+from .kernel import flat_predictions
 
 
 def _span_text(sentences: list[list[str]], sent_ix: int, start: int, end: int) -> str:
@@ -46,60 +51,18 @@ class FlattenTriples:
                 self._canon_cache[text] = v
         return v
 
-    def rows_for_doc(self, out: dict, doc_key: str, sentences: list[list[str]],
-                     doc_rels: list[list[dict]], clusters, sha: str,
-                     bucket=None) -> None:
-        """Append one document's triple rows to the `out` column dict —
-        plain-Python core shared by the Arrow `__call__` stage and the fused
-        `ExtractToTriples` path."""
-        # flat token stream + doc-level span text lookup for coref reps
-        rep_of: dict[str, str] = {}
-        if self.use_coref and clusters:
-            flat = [t for s in sentences for t in s]
-            for cluster in clusters:
-                if not cluster:
-                    continue
-                rep = " ".join(flat[cluster[0]["start"] : cluster[0]["end"] + 1])
-                for m in cluster[1:]:
-                    mention = " ".join(flat[m["start"] : m["end"] + 1])
-                    # only referring mentions get rewritten (make_kb.py:148-172)
-                    if contains_reference(mention):
-                        rep_of[mention] = rep
-        for sent_ix, rels in enumerate(doc_rels):
-            if not rels:
-                continue
-            sent_text = " ".join(sentences[sent_ix])
-            for r in rels:
-                label = r["label"]
-                if self.label_map is not None:
-                    if label not in self.label_map:
-                        continue
-                    label = self.label_map[label]
-                subj = _span_text(sentences, sent_ix, r["s1"], r["e1"])
-                obj = _span_text(sentences, sent_ix, r["s2"], r["e2"])
-                subj = rep_of.get(subj, subj)
-                obj = rep_of.get(obj, obj)
-                out["doc_id"].append(doc_key)
-                out["sentence"].append(sent_text)
-                out["subj"].append(subj)
-                out["obj"].append(obj)
-                out["pred"].append(label)
-                out["subj_norm"].append(self._canon(subj))
-                out["obj_norm"].append(self._canon(obj))
-                out["conf"].append(r["softmax_score"])
-                out["content_sha256"].append(sha)
-                out["bucket"].append(bucket)
-
     def rows_for_doc_flat(self, out: dict, doc_key: str,
                           sentences: list[list[str]], rel_rows: list[tuple],
                           clusters: list[list[tuple[int, int]]], sha: str,
                           bucket=None) -> None:
-        """Tuple-based twin of `rows_for_doc` for the bandwidth-lean fused
-        path: consumes `ExtractionKernel.decode_triples_document` output
+        """Append one document's triple rows to the `out` column dict — the
+        one flatten, shared by the Arrow `__call__` stage and the fused
+        `ExtractToTriples` path. Takes the tuple shape of
+        `ExtractionKernel.decode_triples_document` / `flat_predictions`
         (`rel_rows` = (sent_ix, s1, e1, s2, e2, label_ix, conf) tuples,
-        `clusters` = (start, end) tuple lists) instead of per-hit dicts.
-        Emits byte-identical rows in identical order (pinned by
-        tests/test_kernel_decode.py::test_fused_triples_path_equivalence)."""
+        `clusters` = (start, end) tuple lists); a referring mention of a
+        cluster is rewritten to the cluster's first mention
+        (make_kb.py:148-172)."""
         from ..schema import RELATION_LABELS
 
         rep_of: dict[str, str] = {}
@@ -178,7 +141,9 @@ class FlattenTriples:
         for doc_key, sentences, sha, doc_rels, clusters, bucket in zip(
             doc_keys, sentences_col, shas, rels_col, clusters_col, buckets
         ):
-            self.rows_for_doc(out, doc_key, sentences, doc_rels, clusters, sha, bucket)
+            rel_rows, tclusters = flat_predictions(doc_rels, clusters)
+            self.rows_for_doc_flat(out, doc_key, sentences, rel_rows,
+                                   tclusters, sha, bucket)
         return self.to_table(out, has_bucket)
 
 

@@ -122,6 +122,10 @@ if __name__ == "__main__":
     json_path = None
     if "--json" in argv:
         i = argv.index("--json")
+        if i + 1 >= len(argv):
+            print("usage: check_correctness.py [sf_dir] [--json OUT]",
+                  file=sys.stderr)
+            sys.exit(2)
         json_path = argv[i + 1]
         argv = argv[:i] + argv[i + 2:]
     sys.exit(1 if main(*(argv or []), json_out=json_path) else 0)

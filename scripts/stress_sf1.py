@@ -25,7 +25,7 @@ N_FILES = int(sys.argv[1]) if len(sys.argv) > 1 else 20_000
 # but finishes in seconds on this box.
 CORPUS_OVERRIDE = os.environ.get("GRAFT_STRESS_CORPUS")
 CORPUS = CORPUS_OVERRIDE or f"/tmp/dygiepp_ray_stress/corpus_{N_FILES}"
-OUT = f"/tmp/dygiepp_ray_stress/kg_{os.path.basename(CORPUS)}"
+OUT = f"/tmp/dygiepp_ray_stress/kg_{os.path.basename(os.path.normpath(CORPUS))}"
 
 
 def _spill_bytes() -> int:
@@ -63,7 +63,8 @@ def main() -> None:
     res["corpus"] = CORPUS
     res["corpus_gen_sec"] = round(time.time() - t0, 1)
     res["corpus_bytes"] = sum(
-        os.path.getsize(p) for p in glob.glob(f"{CORPUS}/*.parquet"))
+        os.path.getsize(p)
+        for p in glob.glob(f"{CORPUS}/**/*.parquet", recursive=True))
 
     # prebuilt corpora (the scaling corpus) use the legacy base lexicon
     lex = (scaled_entity_lexicon(N_FILES) if CORPUS_OVERRIDE is None

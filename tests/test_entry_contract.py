@@ -38,3 +38,19 @@ def test_entry_runs():
     res = m.entry()
     n = res.count()
     assert n > 0
+
+
+def test_check_correctness_json_without_path_is_usage_error():
+    """`--json` as the last argument names no output file: the driver-mimic
+    CLI must exit 2 with a usage message, not raise IndexError."""
+    import os
+    import subprocess
+    import sys
+
+    script = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "scripts", "check_correctness.py")
+    res = subprocess.run([sys.executable, script, "--json"],
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 2, res.stderr
+    assert "usage" in res.stderr
+    assert "IndexError" not in res.stderr

@@ -166,15 +166,14 @@ def test_scores_rounded_4_decimals():
 
 
 def test_fused_triples_path_equivalence():
-    """The bandwidth-lean fused decode (decode_triples_document +
-    rows_for_doc_flat) must emit byte-identical triple tables, in identical
-    row order, to the dict path (decode_document + rows_for_doc) — across
-    coref substitution, label_map projection, and failure containment."""
+    """The bandwidth-lean fused decode (decode_triples_document, with its
+    sentence memo) must emit byte-identical triple tables, in identical row
+    order, to the dict decode the documents product runs (decode_document
+    + flat_predictions), both through rows_for_doc_flat — across coref
+    substitution, label_map projection, and failure containment."""
     import random
 
-    import pyarrow as pa
-
-    from dygiepp_ray.stages.kernel import ExtractionKernel
+    from dygiepp_ray.stages.kernel import ExtractionKernel, flat_predictions
     from dygiepp_ray.stages.triples import FlattenTriples
 
     lex = {"hash join": "Method", "bloom filter": "Method",
@@ -210,12 +209,12 @@ def test_fused_triples_path_equivalence():
                 _ner, doc_rel, _evt, dclusters, failed_b = \
                     kernel.decode_document(sentences)
                 assert failed_a == failed_b
-                assert tclusters == [[(m["start"], m["end"]) for m in c]
-                                     for c in dclusters]
+                rel_rows_b, tclusters_b = flat_predictions(doc_rel, dclusters)
+                assert tclusters == tclusters_b
                 fl_a.rows_for_doc_flat(out_a, key, sentences, rel_rows,
                                        tclusters, "sha", 3)
-                fl_b.rows_for_doc(out_b, key, sentences, doc_rel,
-                                  dclusters, "sha", 3)
+                fl_b.rows_for_doc_flat(out_b, key, sentences, rel_rows_b,
+                                       tclusters_b, "sha", 3)
             ta = FlattenTriples.to_table(out_a, True)
             tb = FlattenTriples.to_table(out_b, True)
             assert ta.equals(tb), (label_map, use_coref)
@@ -263,9 +262,10 @@ def test_arrow_fast_sentences_matches_python_chain():
 
 
 def test_arrow_fast_prep_equivalence(monkeypatch):
-    """ExtractToTriples(do_prep=True) with the Arrow fast prep enabled must
-    emit a byte-identical triple table to the forced-Python-path run, on a
-    batch mixing fast-eligible and fallback documents."""
+    """ExtractToTriples and the documents product's batch function, with
+    the Arrow fast prep enabled, must each emit a byte-identical table to
+    the forced-Python-path run, on a batch mixing fast-eligible and
+    fallback documents."""
     import pyarrow as pa
 
     import dygiepp_ray.pipelines.kg as kg
@@ -289,13 +289,116 @@ def test_arrow_fast_prep_equivalence(monkeypatch):
         "lang": [lg for lg, _ in contents],
         "content": [c for _, c in contents],
     })
-    stage = kg.ExtractToTriples(do_prep=True)
-    fast_tbl = stage(batch)
+    fast_tbl = kg.ExtractToTriples()(batch)
+    fast_docs = kg.documents_batch(batch)
     monkeypatch.setattr(kg, "_arrow_fast_sentences",
                         lambda texts: [None] * len(texts))
-    slow_tbl = kg.ExtractToTriples(do_prep=True)(batch)
+    slow_tbl = kg.ExtractToTriples()(batch)
+    slow_docs = kg.documents_batch(batch)
     assert fast_tbl.equals(slow_tbl)
     assert fast_tbl.num_rows > 0
+    assert fast_docs.equals(slow_docs)
+    assert fast_docs.num_rows == n - 1  # only the empty python file drops
+
+
+def _corpus_batch(extra_rows=()):
+    """A corpus batch of generated files (plus `extra_rows` of (lang,
+    content)) with a bucket column, as build_kg feeds the fused stage."""
+    import pyarrow as pa
+
+    from dygiepp_ray.corpus import generate_corpus
+
+    t = generate_corpus(40, seed=11)
+    rows = {c: t.column(c).to_pylist() for c in t.column_names}
+    for j, (lang, content) in enumerate(extra_rows):
+        rows["repo"].append(f"org/extra{j}")
+        rows["path"].append(f"doc{j}.md")
+        rows["commit"].append("f00dfeed" * 5)
+        rows["lang"].append(lang)
+        rows["content"].append(content)
+    rows["bucket"] = [i % 5 for i in range(len(rows["repo"]))]
+    return pa.table({c: pa.array(v, pa.int32() if c == "bucket"
+                                 else pa.string())
+                     for c, v in rows.items()})
+
+
+@pytest.fixture(scope="module")
+def learned_weights(tmp_path_factory):
+    from dygiepp_ray.corpus import (
+        ENTITY_LEXICON,
+        EVENT_TRIGGERS,
+        RELATION_PATTERNS,
+        make_sentences,
+    )
+    from dygiepp_ray.stages.learned import save_learned_weights, train_scorer
+
+    path = str(tmp_path_factory.mktemp("learned") / "scorer.npz")
+    save_learned_weights(path, train_scorer(
+        make_sentences(n=200, seed=5), ENTITY_LEXICON, RELATION_PATTERNS,
+        EVENT_TRIGGERS))
+    return path
+
+
+@pytest.mark.parametrize("mode", ["lexicon-canonical", "lexicon-antecedent",
+                                  "learned"])
+def test_fused_stage_equals_documents_product(mode, request):
+    """The fused ExtractToTriples table must equal the documents product's
+    chain — documents_batch → ExtractionKernel → FlattenTriples — on the same
+    batch, row for row, for the lexicon scorer in both coref modes (the
+    antecedent run with M7 propagation) and for a learned scorer."""
+    import dygiepp_ray.pipelines.kg as kg
+    from dygiepp_ray.stages.kernel import ExtractionKernel
+    from dygiepp_ray.stages.triples import FlattenTriples
+
+    kernel_kwargs = {
+        "lexicon-canonical": {},
+        "lexicon-antecedent": {"coref_mode": "antecedent", "coref_prop": 2},
+        "learned": {"weights_path": request.getfixturevalue(
+            "learned_weights")},
+    }[mode]
+    batch = _corpus_batch([
+        # the referring "this approach" is rewritten to "This approach"
+        ("markdown", "This approach is used for bloom filter . "
+                     "hash join is part of this approach .\n"),
+        # antecedent mode prunes mentions to ceil(0.3 * tokens), so the late
+        # referring mention is clustered (and rewritten) in canonical mode only
+        ("markdown", "This approach latency latency latency latency latency . "
+                     "hash join is part of this approach .\n"),
+    ])
+    fused = kg.ExtractToTriples(**kernel_kwargs)(batch)
+    staged = FlattenTriples()(
+        ExtractionKernel(**kernel_kwargs)(kg.documents_batch(batch)))
+    assert fused.equals(staged)
+    assert fused.num_rows > 100
+    assert fused.column_names[-1] == "bucket"
+    if mode == "lexicon-antecedent":
+        assert not fused.equals(kg.ExtractToTriples()(batch))
+
+
+def test_fused_stage_requires_prep():
+    import dygiepp_ray.pipelines.kg as kg
+
+    with pytest.raises(ValueError):
+        kg.ExtractToTriples(do_prep=False)
+
+
+def test_null_content_row_is_dropped():
+    """A corpus row with a null `content` is dropped by the shared prep (as
+    a document without text is) instead of failing the batch: the fused
+    stage and the documents batch function both return, for the other
+    rows, exactly what they return for the batch without that row."""
+    import pyarrow as pa
+
+    import dygiepp_ray.pipelines.kg as kg
+
+    clean = _corpus_batch()
+    rows = clean.to_pylist()
+    rows.insert(7, {**rows[7], "path": "null.py", "content": None})
+    dirty = pa.Table.from_pylist(rows, schema=clean.schema)
+    assert dirty.column("content").null_count == 1
+
+    for fn in (kg.ExtractToTriples(), kg.documents_batch):
+        assert fn(dirty).equals(fn(clean))
 
 
 def test_arrow_fast_sentences_property_based():

@@ -138,8 +138,9 @@ def test_learned_kernel_actor_pool_roundtrip(tmp_path, trained, corpora):
 
 def test_fused_triples_path_with_learned_scorer(tmp_path, trained, corpora):
     """decode_triples_document must fall back to the generic spec path for
-    learned scorers and stay equivalent to decode_document + rows_for_doc."""
-    from dygiepp_ray.stages.kernel import ExtractionKernel
+    learned scorers and stay equivalent to decode_document +
+    flat_predictions, both through rows_for_doc_flat."""
+    from dygiepp_ray.stages.kernel import ExtractionKernel, flat_predictions
     from dygiepp_ray.stages.triples import FlattenTriples
 
     path = str(tmp_path / "scorer_v2b.npz")
@@ -155,8 +156,9 @@ def test_fused_triples_path_with_learned_scorer(tmp_path, trained, corpora):
         assert failed == failed_b
         fl.rows_for_doc_flat(out_a, f"d{d}", sentences, rel_rows, tclusters,
                              "sha", None)
-        fl.rows_for_doc(out_b, f"d{d}", sentences, doc_rel, clusters,
-                        "sha", None)
+        rel_rows_b, tclusters_b = flat_predictions(doc_rel, clusters)
+        fl.rows_for_doc_flat(out_b, f"d{d}", sentences, rel_rows_b,
+                             tclusters_b, "sha", None)
     ta, tb = FlattenTriples.to_table(out_a, False), \
         FlattenTriples.to_table(out_b, False)
     assert ta.equals(tb)
