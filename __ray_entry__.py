@@ -49,8 +49,10 @@ from dygiepp_ray.stages.triples import flatten_ner_mentions
 
 
 def _kernel_conc() -> tuple[int, int]:
-    """Kernel actor-pool size tracks the Ray session's CPU count (leave two
-    CPUs for the read/flatten stages so the pipeline doesn't serialize)."""
+    """Kernel-stage concurrency tracks the Ray session's CPU count, leaving
+    two CPUs for the read and write stages: the `(min, max)` size of an
+    `extract` actor pool, or, for `extract_triples`, the max is the bound
+    on concurrent extraction tasks."""
     try:
         cpus = int(ray.cluster_resources().get("CPU", 4))
     except Exception:  # noqa: BLE001 — not initialised yet
@@ -313,7 +315,7 @@ def _round_cols(ds: "ray.data.Dataset", spec: dict[str, int]) -> "ray.data.Datas
 
 def entry() -> Any:
     """Flagship: sf0.001 documents + synthetic north-rule corpus → the fused
-    prep + extraction kernel + flatten actor → canonicalized triples
+    prep + extraction kernel + flatten stage → canonicalized triples
     (streaming end to end)."""
     sf_dir = "/root/testdata/sf0.001"
     corpus = documents_as_corpus(sf_dir).union(
@@ -321,14 +323,10 @@ def entry() -> Any:
     )
     lex = {**ENTITY_LEXICON, **DOC_LEXICON}
     trig = {**EVENT_TRIGGERS, **DOC_TRIGGERS}
-    return corpus.map_batches(
-        kgp.ExtractToTriples,
-        fn_constructor_kwargs=dict(entity_lexicon=lex,
-                                   relation_patterns=RELATION_PATTERNS,
-                                   event_triggers=trig),
-        batch_format="pyarrow", batch_size=kgp.DEFAULT_KERNEL_BATCH_SIZE,
-        concurrency=_kernel_conc(), num_cpus=1,
-    )
+    return kgp.extract_triples(corpus, concurrency=_kernel_conc(),
+                               entity_lexicon=lex,
+                               relation_patterns=RELATION_PATTERNS,
+                               event_triggers=trig)
 
 
 # ---------------------------------------------------------------- queries

@@ -151,25 +151,15 @@ def _scaling_worker(num_cpus: int) -> None:
     from dygiepp_ray.pipelines.kg import kg_triples
 
     corpus = _scaling_corpus()
-    # actor pool exactly = cpu count so BOTH levels get proportional kernel
+    # extraction tasks = cpu count, so both levels get proportional kernel
     # parallelism (a fixed -2 reserve would handicap the small level: 4 cpus
-    # → 2 actors is 50% of the level, 32 → 30 is 94%). Each actor reserves
-    # a fractional cpu: N full-cpu actors would hold every scheduler slot
-    # and starve the read tasks (fixed-pool deadlock); the slack admits
-    # reads at a rate proportional to the level. 0.75 at EVERY level (the
-    # ADVICE r3 symmetry fix — no per-level protocol asymmetry): the 2-cpu
-    # level needs ≤0.75 so its 0.5-cpu slack can fit an anc/2 read task,
-    # and the higher levels use the same share so the pair is
-    # identically configured.
-    anc = 0.75
-    conc = (num_cpus, num_cpus)
-    # warmup: spin up the worker/actor pool on a slice so the timed runs
-    # measure steady-state throughput, not process startup; report best-of-2
-    # to shave scheduler jitter. batch_size 1024: per-batch actor overhead
+    # → 2 tasks is 50% of the level, 32 → 30 is 94%). Warm-up: start the
+    # worker processes on a slice so the timed run measures steady-state
+    # throughput, not process startup. batch_size 1024: per-batch overhead
     # measured ~9% of wall at 256 on the 2.3M corpus.
-    kg_triples(corpus, concurrency=conc, batch_size=1024, actor_num_cpus=anc).limit(1).count()
+    kg_triples(corpus, concurrency=num_cpus, batch_size=1024).limit(1).count()
     t0 = time.time()
-    n = kg_triples(corpus, concurrency=conc, batch_size=1024, actor_num_cpus=anc).count()
+    n = kg_triples(corpus, concurrency=num_cpus, batch_size=1024).count()
     dt = time.time() - t0
     print(json.dumps({"num_cpus": num_cpus, "sec": dt, "triples": n}))
     import ray

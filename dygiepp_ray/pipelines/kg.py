@@ -1,14 +1,14 @@
 """Flagship KG-construction pipeline (SURVEY.md §7.1; reference lifecycle §3.2).
 
-read_parquet(corpus) → bucket stamp → [resume filter] → `ExtractToTriples`
-actor pool: doc-prep (P1-P4, content sha256) → relation decode (M1-M8) →
+read_parquet(corpus) → bucket stamp → [resume filter] → `extract_triples`, a
+task map: doc-prep (P1-P4, content sha256) → relation decode (M1-M8) →
 flatten triples (S5/P12-P14), fused in one `__call__` → write partitioned
 Parquet + per-bucket lineage manifests. Count tables (A1) stream through
 partial+final grouped counts.
 
-The documents product (`documents_dataset` → `extract`: tokenized documents
-with `predicted_*` columns) runs the same prep, `_prep_docs`, and its
-triples come from the same flatten (`FlattenTriples`).
+The documents product (`documents_dataset` → `extract`, an actor pool:
+documents with `predicted_*` columns) runs the same prep, `_prep_docs`, and
+its triples come from the same flatten (`FlattenTriples`).
 
 Everything is lazy/streaming until the sink; no driver-side materialization of
 document or triple data.
@@ -31,21 +31,16 @@ from ..state.manifest import (
     write_manifest,
 )
 
-# Actor-pool sizing for the kernel stage. An autoscaling (min, max) pool lets
-# the streaming executor balance the kernel against read/prep/write stages.
+# Kernel-stage concurrency: the autoscaling (min, max) `extract` actor pool;
+# in the `extract_triples` task map the max bounds the concurrent tasks.
 DEFAULT_KERNEL_CONCURRENCY = (1, 8)
 DEFAULT_KERNEL_BATCH_SIZE = 64
 
 
-def read_corpus(input_dir: str, read_num_cpus: float | None = None) -> "ray.data.Dataset":
+def read_corpus(input_dir: str) -> "ray.data.Dataset":
     # all five corpus columns are needed downstream (content for prep+sha,
     # repo/path/commit for keys+buckets, lang for extraction dispatch).
-    # `read_num_cpus < 1` lets read tasks schedule into fractional headroom
-    # left by a session-CPU-sized actor pool (see kg_triples.actor_num_cpus).
-    kwargs = {}
-    if read_num_cpus is not None:
-        kwargs["ray_remote_args"] = {"num_cpus": read_num_cpus}
-    return ray.data.read_parquet(input_dir, **kwargs)
+    return ray.data.read_parquet(input_dir)
 
 
 def documents_dataset(corpus: "ray.data.Dataset") -> "ray.data.Dataset":
@@ -213,7 +208,7 @@ def documents_batch(batch: pa.Table) -> pa.Table:
 
 
 class ExtractToTriples:
-    """Fused actor stage of build_kg / kg_triples: raw corpus rows
+    """Fused stage of build_kg / kg_triples: raw corpus rows
     `(repo, path, commit, lang, content[, bucket])` in, triple rows out —
     prep (`_prep_docs`) → `ExtractionKernel.decode_triples_document` →
     `FlattenTriples.rows_for_doc_flat` in one `__call__`, so neither the
@@ -224,6 +219,10 @@ class ExtractToTriples:
     `documents_dataset` → `extract` → `FlattenTriples` (pinned by
     tests/test_kernel_decode.py::test_fused_stage_equals_documents_product).
 
+    `extract_triples` runs an instance on Ray Data's task pool. It pickles
+    to (token, kwargs) and unpickles via `_stage_for` to its process's stage
+    for that build, so a worker's tasks share one kernel and sentence memo.
+
     `do_prep` is accepted for old callers and must be True."""
 
     def __init__(self, label_map=None, use_coref_substitution=True,
@@ -231,9 +230,16 @@ class ExtractToTriples:
         if do_prep is not True:
             raise ValueError("ExtractToTriples takes raw corpus rows: "
                              "do_prep must be True")
+        import uuid
+
+        self._token = uuid.uuid4().hex
+        self._kwargs = dict(kernel_kwargs, label_map=label_map,
+                            use_coref_substitution=use_coref_substitution)
         self.kernel = ExtractionKernel(**kernel_kwargs)
-        self.flatten = FlattenTriples(label_map=label_map,
-                                      use_coref_substitution=use_coref_substitution)
+        self.flatten = FlattenTriples(label_map, use_coref_substitution)
+
+    def __reduce__(self):
+        return _stage_for, (self._token, self._kwargs)
 
     def __call__(self, batch):
         out = self.flatten.empty_out()
@@ -248,37 +254,45 @@ class ExtractToTriples:
         return self.flatten.to_table(out, has_bucket)
 
 
+_STAGES: dict[str, ExtractToTriples] = {}  # token → this process's stage
+
+
+def _stage_for(token: str, kwargs: dict) -> ExtractToTriples:
+    """Unpickle hook of `ExtractToTriples`: this process's stage for `token`,
+    built on first use, replacing any other's (concurrent builds just rebuild)."""
+    if token not in _STAGES:
+        _STAGES.clear()
+        _STAGES[token] = ExtractToTriples(**kwargs)
+        _STAGES[token]._token = token
+    return _STAGES[token]
+
+
+def extract_triples(corpus: "ray.data.Dataset",
+                    concurrency=DEFAULT_KERNEL_CONCURRENCY,
+                    batch_size: int = DEFAULT_KERNEL_BATCH_SIZE,
+                    **kernel_kwargs) -> "ray.data.Dataset":
+    """Corpus rows → triple rows: `ExtractToTriples(**kernel_kwargs)` as
+    a task map; a `(min, max)` concurrency bounds the tasks by its max."""
+    if isinstance(concurrency, tuple):
+        concurrency = concurrency[1]
+    return corpus.map_batches(ExtractToTriples(**kernel_kwargs),
+                              batch_format="pyarrow", batch_size=batch_size,
+                              concurrency=concurrency, num_cpus=1)
+
+
 def kg_triples(input_dir: str, concurrency=DEFAULT_KERNEL_CONCURRENCY,
                batch_size: int = DEFAULT_KERNEL_BATCH_SIZE,
-               label_map: dict[str, str] | None = None,
-               actor_num_cpus: float = 1,
                **kernel_kwargs) -> "ray.data.Dataset":
-    """Corpus dir → streaming triples Dataset (no sink); prep+kernel+flatten
-    fully fused into the actor pool (raw corpus rows in, triple rows out).
-
-    `actor_num_cpus < 1` lets the pool span ALL session CPUs while leaving
-    fractional headroom for the read tasks — a pool of exactly
-    session-CPU-count 1-cpu actors would starve the reads (no free slots).
-    When fractional, read tasks are made fractional too (half the actor
-    share), so the leftover headroom can actually schedule them at ANY
-    session size (0.15·4 cpus of slack can't fit a 1-cpu read task)."""
-    read_cpus = None if actor_num_cpus >= 1 else actor_num_cpus / 2
-    return read_corpus(input_dir, read_num_cpus=read_cpus).map_batches(
-        ExtractToTriples,
-        fn_constructor_kwargs=dict(label_map=label_map, **kernel_kwargs),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=actor_num_cpus,
-    )
+    """Corpus dir → streaming triples Dataset (no sink)."""
+    return extract_triples(read_corpus(input_dir), concurrency, batch_size,
+                           **kernel_kwargs)
 
 
 def span_counts(triples: "ray.data.Dataset", salt_buckets: int = 1) -> "ray.data.Dataset":
     """A1 — occurrences per canonicalized span, counting BOTH argument slots
     (make_kb.py:198-212). Single pass: each batch emits subj_norm ++ obj_norm
     as one `span_norm` column. (A two-branch `union` of the same upstream
-    would re-run the whole kernel pipeline twice AND deadlock a fixed-size
-    actor pool — two branches × min-30 actors > the node's CPUs.)"""
+    would re-run the whole kernel pipeline twice.)"""
 
     def both_slots(t: pa.Table) -> pa.Table:
         chunks = list(t.column("subj_norm").chunks) + list(t.column("obj_norm").chunks)
@@ -388,12 +402,7 @@ def build_kg(input_dir: str, out_dir: str, n_buckets: int = 16, resume: bool = T
             return batch.filter(pc.invert(pc.is_in(batch.column("bucket"), value_set=skip)))
 
         corpus = corpus.map_batches(drop_done, batch_format="pyarrow")
-    triples = corpus.map_batches(
-        ExtractToTriples,
-        fn_constructor_kwargs=kernel_kwargs,
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, num_cpus=1,
-    )
+    triples = extract_triples(corpus, concurrency, batch_size, **kernel_kwargs)
     triples.write_parquet(out_dir, partition_cols=["bucket"])
     written = []
     for b in pending:
@@ -471,10 +480,8 @@ def build_kg_incremental(input_dir: str, out_dir: str,
                          pa.string())
         return t.drop_columns(["bucket"]).append_column("shard", shard)
 
-    triples = corpus.map_batches(
-        ExtractToTriples, batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, num_cpus=1,
-    ).map_batches(ord_to_stem, batch_format="pyarrow")
+    triples = extract_triples(corpus, concurrency, batch_size).map_batches(
+        ord_to_stem, batch_format="pyarrow")
     triples.write_parquet(out_dir, partition_cols=["shard"])
     written = []
     for stem, f in pending:

@@ -896,14 +896,14 @@ class ExtractionKernel:
         self.coref_prop = coref_prop
         self.coref_mode = coref_mode
         self._canon_cache: dict[str, str] = {}
-        # per-actor SENTENCE decode memo for the fused triples path: the
-        # sentence-local decode is a pure function of the (lowercased)
-        # token list given a fixed scorer, and web-scale corpora are
-        # boilerplate-heavy (the 2.3M-file bench corpus measures ~77%
-        # exact-duplicate sentences within two shards), so memoizing the
-        # (relation rows, span-registry contributions) per distinct
-        # sentence skips find_hits + the pair loop on every repeat.
-        # Epoch-cleared at the cap (~128k entries ≈ tens of MB per actor).
+        # SENTENCE decode memo of the fused triples path, one per worker
+        # process per build (`pipelines.kg._stage_for`): the sentence-local
+        # decode is a pure function of the (lowercased) token list given a
+        # fixed scorer, and web-scale corpora are boilerplate-heavy (the
+        # 2.3M-file bench corpus has ~77% exact-duplicate sentences within
+        # two shards), so memoizing the (relation rows, span-registry rows)
+        # per distinct sentence skips find_hits + the pair loop on repeats.
+        # Epoch-cleared at the cap (~128k entries ≈ tens of MB).
         self._sent_cache: dict[str, tuple] = {}
         self._sent_cache_cap = 131_072
 
@@ -1001,7 +1001,7 @@ class ExtractionKernel:
         NER rows or events, so neither the per-hit dicts nor the event
         decode are built — that Python-object churn was the measured DRAM
         ceiling at 16 actors (BASELINE.md round-3 actor scan) — and each
-        distinct sentence is decoded once per actor (the sentence memo).
+        distinct sentence is decoded once per kernel (the sentence memo).
         Learned scorers and antecedent coref mode take `decode_document`
         (the memo holds canonical clusters only). Output-equivalent to
         `decode_document` + `flat_predictions` (pinned by

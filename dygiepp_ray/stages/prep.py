@@ -1,7 +1,7 @@
 """Document preparation steps (SURVEY.md §2.2 P1-P4, P15; §7.1 doc-prep).
 
 The per-document pieces of the one prep that `pipelines/kg.py:_prep_docs`
-runs for both the fused triples actor and the documents product: extract
+runs for both the fused triples stage and the documents product: extract
 text-bearing regions from code, and split over-long documents at sentence
 boundaries. Sentence-split / tokenize / normalize are the Arrow fast path in
 `pipelines/kg.py` with `functions/strings.py` as its per-document fallback.

@@ -13,7 +13,7 @@ the reference's KB TSV construction:
     (dygie_pred_to_tsv.py:28-32, e.g. USED-FOR→MECHANISM)
 
 One flatten (`FlattenTriples.rows_for_doc_flat`) serves both products: the
-fused `ExtractToTriples` actor feeds it the kernel's tuple decode directly,
+fused `ExtractToTriples` stage feeds it the kernel's tuple decode directly,
 and `FlattenTriples.__call__` (a `map_batches` callable, flat-map shape,
 Arrow in / Arrow out) feeds it a documents table's `predicted_*` columns
 through `kernel.flat_predictions`.

@@ -24,6 +24,7 @@ import glob
 import json
 import os
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -65,33 +66,25 @@ def manifest_path(out_dir: str, bucket: int) -> str:
 
 
 def sha_rollup(shas: list[str]) -> str:
-    """Order-independent roll-up: XOR of the 256-bit sha integers."""
-    acc = 0
-    for s in shas:
-        acc ^= int(s, 16)
-    return format(acc, "064x")
+    """Order-independent roll-up: XOR of the 256-bit sha integers (bytewise)."""
+    words = np.frombuffer(bytes.fromhex("".join(shas)), np.uint64)
+    return np.bitwise_xor.reduce(words.reshape(-1, 4), axis=0).tobytes().hex()
 
 
 def write_manifest(out_dir: str, bucket: int, fingerprint: str) -> dict:
-    """Compute + persist a bucket's manifest from its written Parquet files.
-    Row count comes from footers; the sha roll-up reads only the
-    content_sha256 column (columnar, cheap)."""
+    """Compute + persist a bucket's manifest: row count and sha roll-up from
+    the content_sha256 column of its written Parquet files (columnar, cheap)."""
     part_dir = os.path.join(out_dir, f"bucket={bucket}")
     files = sorted(glob.glob(os.path.join(part_dir, "*.parquet")))
-    rows = 0
-    acc = 0
+    shas = []
     for f in files:
-        md = pq.read_metadata(f)
-        rows += md.num_rows
-        col = pq.read_table(f, columns=["content_sha256"]).column(0)
-        for s in col.to_pylist():
-            acc ^= int(s, 16)
+        shas += pq.read_table(f, columns=["content_sha256"]).column(0).to_pylist()
     m = {
         "bucket": bucket,
         "engine_version": ENGINE_VERSION,
         "input_fingerprint": fingerprint,
-        "row_count": rows,
-        "sha256_xor": format(acc, "064x"),
+        "row_count": len(shas),
+        "sha256_xor": sha_rollup(shas),
         "files": [os.path.basename(f) for f in files],
     }
     os.makedirs(os.path.join(out_dir, "_manifests"), exist_ok=True)

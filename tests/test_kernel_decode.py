@@ -345,7 +345,10 @@ def test_fused_stage_equals_documents_product(mode, request):
     """The fused ExtractToTriples table must equal the documents product's
     chain — documents_batch → ExtractionKernel → FlattenTriples — on the same
     batch, row for row, for the lexicon scorer in both coref modes (the
-    antecedent run with M7 propagation) and for a learned scorer."""
+    antecedent run with M7 propagation) and for a learned scorer. So must
+    the stage a worker gets by unpickling it."""
+    import pickle
+
     import dygiepp_ray.pipelines.kg as kg
     from dygiepp_ray.stages.kernel import ExtractionKernel
     from dygiepp_ray.stages.triples import FlattenTriples
@@ -365,14 +368,39 @@ def test_fused_stage_equals_documents_product(mode, request):
         ("markdown", "This approach latency latency latency latency latency . "
                      "hash join is part of this approach .\n"),
     ])
-    fused = kg.ExtractToTriples(**kernel_kwargs)(batch)
+    stage = kg.ExtractToTriples(**kernel_kwargs)
+    fused = stage(batch)
     staged = FlattenTriples()(
         ExtractionKernel(**kernel_kwargs)(kg.documents_batch(batch)))
     assert fused.equals(staged)
+    assert pickle.loads(pickle.dumps(stage))(batch).equals(fused)
     assert fused.num_rows > 100
     assert fused.column_names[-1] == "bucket"
     if mode == "lexicon-antecedent":
         assert not fused.equals(kg.ExtractToTriples()(batch))
+
+
+def test_fused_stage_unpickles_to_one_stage_per_process(monkeypatch):
+    """Unpickling an ExtractToTriples gives this process's stage for the
+    instance's token: every unpickle of one instance returns the same
+    object, so its kernel and sentence memo serve every batch of a build,
+    and a new instance's token replaces the held stage."""
+    import pickle
+
+    import dygiepp_ray.pipelines.kg as kg
+
+    monkeypatch.setattr(kg, "_STAGES", {})
+    first = kg.ExtractToTriples()
+    blob = pickle.dumps(first)
+    held = pickle.loads(blob)
+    assert held is not first and pickle.loads(blob) is held
+    assert pickle.loads(pickle.dumps(held)) is held
+    assert held(_corpus_batch()).equals(first(_corpus_batch()))
+
+    second = pickle.loads(pickle.dumps(kg.ExtractToTriples()))
+    assert second is not held
+    assert list(kg._STAGES.values()) == [second]
+    assert pickle.loads(blob) is not held  # rebuilt, with a fresh memo
 
 
 def test_fused_stage_requires_prep():

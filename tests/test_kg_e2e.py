@@ -155,6 +155,53 @@ def test_build_resume_and_manifests(corpus_dir):
     assert total_before == total_after  # stale partials were cleaned, no dupes
 
 
+def test_build_kg_extracts_on_tasks(corpus_dir, tmp_path, monkeypatch):
+    """build_kg runs the fused stage on Ray Data's task pool: the written
+    dataset's `MapBatches(ExtractToTriples)` operator held no actors, and
+    every session CPU is free again once build_kg returns, with the cyclic
+    GC off (a finished actor pool can hold its CPUs until it runs)."""
+    import gc
+    import time
+
+    import ray
+
+    written = []
+    write_parquet = ray.data.Dataset.write_parquet
+
+    def capture(ds, *args, **kwargs):
+        written.append(ds)
+        return write_parquet(ds, *args, **kwargs)
+
+    def wait_free(timeout_s: float) -> float:
+        deadline = time.monotonic() + timeout_s
+        while (ray.available_resources().get("CPU", 0) < cpus
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        return ray.available_resources().get("CPU", 0)
+
+    monkeypatch.setattr(ray.data.Dataset, "write_parquet", capture)
+    cpus = ray.cluster_resources()["CPU"]
+    gc.collect()  # actor pools left by earlier tests
+    assert wait_free(30) == cpus
+    gc.disable()
+    try:
+        build_kg(corpus_dir, str(tmp_path / "kg"), n_buckets=8,
+                 concurrency=(1, 2))
+        assert wait_free(5) == cpus
+    finally:
+        gc.enable()
+
+    metrics, stack = {}, [written[0]._write_ds._get_stats_summary()]
+    while stack:
+        summary = stack.pop()
+        for op in summary.operators_stats:
+            metrics[op.operator_name] = summary.extra_metrics
+        stack.extend(summary.parents)
+    stage = metrics["MapBatches(ExtractToTriples)"]
+    assert stage["num_alive_actors"] == 0
+    assert "pending_actors" not in stage  # an actor-pool-only metric
+
+
 def test_subject_store_selective_lookup(tmp_path):
     """The subject-partitioned store answers point lookups by reading ONLY
     the partitions the probe subjects hash into."""

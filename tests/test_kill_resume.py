@@ -83,3 +83,109 @@ def test_kill_mid_build_then_resume_matches_clean():
     # a second resume is a full no-op
     assert _run_build(OUT_KILLED)
     assert _rows(OUT_KILLED) == clean_rows
+
+
+KILL_WORKER_SNIPPET = """
+import sys, ray
+sys.path.insert(0, {repo!r})
+ray.init(address="local", num_cpus=4, include_dashboard=False, logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from dygiepp_ray.pipelines.kg import build_kg
+build_kg({corpus!r}, {out!r}, n_buckets=8, concurrency=(1, 2), batch_size=32)
+print("DONE", flush=True)
+ray.shutdown()
+"""
+
+
+def _descendants(pid: int) -> set[int]:
+    """Every live process below `pid`, from /proc's parent links."""
+    children: dict[int, list[int]] = {}
+    for stat in glob.glob("/proc/[0-9]*/stat"):
+        try:
+            with open(stat) as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        children.setdefault(int(fields[1]), []).append(int(stat.split("/")[2]))
+    out, todo = set(), [pid]
+    while todo:
+        kids = children.get(todo.pop(), [])
+        out.update(kids)
+        todo.extend(kids)
+    return out
+
+
+def _title(pid: int) -> str:
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as fh:
+            return fh.read().replace(b"\0", b" ").decode(errors="replace")
+    except OSError:
+        return ""
+
+
+def _build_outputs(out_dir: str):
+    """(sorted triples, manifests without file names, part files per bucket
+    vs its manifest's)."""
+    import json
+
+    import pyarrow as pa
+
+    tables = [pq.read_table(f) for f in sorted(
+        glob.glob(os.path.join(out_dir, "bucket=*", "*.parquet")))]
+    triples = pa.concat_tables(tables)
+    triples = triples.sort_by([(c, "ascending") for c in triples.column_names])
+    manifests, files = {}, {}
+    for f in glob.glob(os.path.join(out_dir, "_manifests", "bucket-*.json")):
+        with open(f) as fh:
+            m = json.load(fh)
+        b = m["bucket"]
+        files[b] = (sorted(m.pop("files")), sorted(
+            os.path.basename(p) for p in
+            glob.glob(os.path.join(out_dir, f"bucket={b}", "*.parquet"))))
+        manifests[b] = m
+    return triples, manifests, files
+
+
+def test_killed_extraction_worker_is_retried(tmp_path):
+    """SIGKILL a Ray worker while it runs the fused extraction stage: Ray
+    retries the task, build_kg returns, and the triples and manifests equal
+    a clean run's with no bucket holding an extra part file."""
+    from dygiepp_ray.corpus import write_corpus
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    corpus = str(tmp_path / "corpus")
+    write_corpus(corpus, n_files=3000, seed=13, n_shards=8)
+    outs = {}
+    killed = []
+    for name in ("clean", "killed"):
+        out = str(tmp_path / name)
+        proc = subprocess.Popen(
+            [sys.executable, "-c",
+             KILL_WORKER_SNIPPET.format(repo=repo, corpus=corpus, out=out)],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+        try:
+            while name == "killed" and not killed and proc.poll() is None:
+                for pid in _descendants(proc.pid):
+                    if "ExtractToTriples" in _title(pid):
+                        try:
+                            os.kill(pid, signal.SIGKILL)
+                        except ProcessLookupError:  # exited meanwhile
+                            continue
+                        killed.append(pid)
+                        break
+                time.sleep(0.005)
+            stdout, _ = proc.communicate(timeout=300)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=60)
+        assert proc.returncode == 0 and "DONE" in stdout, (name, stdout)
+        outs[name] = _build_outputs(out)
+
+    assert killed, "no extraction worker was seen to kill"
+    clean, got = outs["clean"], outs["killed"]
+    assert clean[0].num_rows > 0 and got[0].equals(clean[0])
+    assert got[1] == clean[1] and len(got[1]) == 8
+    for listed, on_disk in got[2].values():
+        assert listed == on_disk
