@@ -7124,43 +7124,39 @@ def queries() -> dict[str, Callable[[str], Any]]:
         a = kgp.extract(docs, concurrency=(1, 2),
                         entity_lexicon={**ENTITY_LEXICON, **DOC_LEXICON})
         b = kgp.extract(docs, concurrency=(1, 2), entity_lexicon=DOC_LEXICON)
+        from dygiepp_ray.joins import zip_join_assert
         from dygiepp_ray.stages.coref import merge_clusters
 
-        def stamp(side):
-            return lambda t: t.append_column("_side", pa.array([side] * t.num_rows))
+        # J2 zip-join (1:1 assert) on doc_key, then D1 merge per row
+        joined = zip_join_assert(
+            a.select_columns(["doc_key", "predicted_clusters"]),
+            b.select_columns(["doc_key", "predicted_clusters"]).map_batches(
+                lambda t: t.rename_columns(["doc_key", "b_clusters"]),
+                batch_format="pyarrow"),
+            "doc_key", ["b_clusters"], a_cols=["doc_key", "predicted_clusters"])
 
-        au = a.select_columns(["doc_key", "predicted_clusters"]).map_batches(
-            stamp("a"), batch_format="pyarrow")
-        bu = b.select_columns(["doc_key", "predicted_clusters"]).map_batches(
-            stamp("b"), batch_format="pyarrow")
+        def to_lists(clusters):
+            if clusters is None:
+                return []
+            return [[(m["start"], m["end"]) for m in c] for c in list(clusters)]
 
-        def zip_merge(df: pd.DataFrame) -> pd.DataFrame:
-            # J2 zip-join (1:1 assert) + D1 merge, summarized to flat columns.
+        def merge_rows(df: pd.DataFrame) -> pd.DataFrame:
             # Model B's clusters are split in half (weaker-model simulation):
             # identical clusters are skipped by the reference's equality rule,
             # so divergent-but-overlapping sets are what the merge is FOR.
-            av = df[df["_side"] == "a"]
-            bv = df[df["_side"] == "b"]
-            assert len(av) == 1 and len(bv) == 1, df["doc_key"].iloc[0]
+            n = []
+            for a_cl, b_raw in zip(df["predicted_clusters"], df["b_clusters"]):
+                b_cl = []
+                for c in to_lists(b_raw):
+                    half = max(1, len(c) // 2)
+                    b_cl.append(c[:half])
+                    if c[half:]:
+                        b_cl.append(c[half:])
+                n.append(len(merge_clusters(to_lists(a_cl), b_cl)))
+            return pd.DataFrame({"doc_key": df["doc_key"].to_numpy(object),
+                                 "n_merged_clusters": np.array(n, np.int64)})
 
-            def to_lists(clusters):
-                if clusters is None:
-                    return []
-                return [[(m["start"], m["end"]) for m in c] for c in list(clusters)]
-
-            a_cl = to_lists(av["predicted_clusters"].iloc[0])
-            b_cl = []
-            for c in to_lists(bv["predicted_clusters"].iloc[0]):
-                half = max(1, len(c) // 2)
-                b_cl.append(c[:half])
-                if c[half:]:
-                    b_cl.append(c[half:])
-            merged = merge_clusters(a_cl, b_cl)
-            return pd.DataFrame(
-                {"doc_key": [df["doc_key"].iloc[0]], "n_merged_clusters": [len(merged)]}
-            )
-
-        return au.union(bu).groupby("doc_key").map_groups(zip_merge, batch_format="pandas")
+        return joined.map_batches(merge_rows, batch_format="pandas")
 
     q["coref_cluster_merge"] = q_coref_merge
 

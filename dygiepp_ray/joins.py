@@ -1,15 +1,30 @@
 """Join operators (SURVEY.md §2.4).
 
+Every two-sided bucketed shuffle goes through ONE co-group path,
+`_cogroup`: both sides arrive stamped with `_bucket`, each is padded to the
+union schema (zeros for int/bool columns, typed nulls otherwise) and
+tagged `_side`, the two are unioned and grouped once on `_bucket`
+(sort-based `map_groups`). Each bucket's table is split back into its sides
+IN ARROW — each side selects only its own columns before its own pandas
+conversion — so no side ever sees a padded value and int/bool columns keep
+their dtypes. A `per_bucket(ldf, rdf)` callable then
+does the pandas work. The joins below, the J2 collect and the persisted
+dedup store matches differ only in how they stamp `_bucket` and in that
+callable.
+
 - `broadcast_lookup` — small side `ray.put` once, dict-mapped per batch (J1
   when one side is a dimension table; no shuffle).
-- `hash_join` — the portable big-big equi-join: stamp `_bucket = hash(key) %
-  B` on both sides, union, `groupby(_bucket)`, join matching buckets pairwise
-  inside `map_groups` with a pandas merge. ONE shuffle, B-way parallel merge,
-  no driver materialization. Salt knob: raise B for hot keys; a single bucket
-  only ever holds ~|A|/B + |B|/B rows.
+- `hash_join` — the portable big-big equi-join: `_bucket = hash(key) % B`
+  on both sides, one pandas merge per bucket. ONE shuffle, B-way parallel
+  merge, nothing materialized by the caller. Salt knob: raise B for hot keys; a
+  single bucket only ever holds ~|A|/B + |B|/B rows.
 - `zip_join_assert` — J2 shard-collect semantics: 1:1 key join with
   multiplicity asserts (03_collect_shards.py:36-46), bucketed so each group
   is a B-th of the keys (vectorized merge), not one tiny pandas frame per key.
+- `asof_join` / `interval_join` — per-bucket `merge_asof` / banded
+  equi-merge + range filter.
+- `skew_join` — salting on top of the same co-group: hot left rows spread
+  round-robin over the buckets, hot right rows replicate into every bucket.
 """
 
 from __future__ import annotations
@@ -76,17 +91,6 @@ def _bucket_array(key, n_buckets: int) -> pa.Array:
     return pa.array(merged, pa.int32())
 
 
-def _restore_int_dtypes(df: pd.DataFrame, cols: list[str], schema: dict) -> pd.DataFrame:
-    """The union pads one-sided columns with typed nulls, so pandas inflates
-    their int columns to float64 (NaN) — cast back once the side's own
-    (null-free) rows are selected."""
-    for c in cols:
-        typ = schema.get(c)
-        if typ is not None and pa.types.is_integer(typ) and df[c].dtype.kind == "f":
-            df[c] = df[c].astype(typ.to_pandas_dtype())
-    return df
-
-
 def _arrow_types(ds: "ray.data.Dataset") -> dict:
     """{col: pyarrow.DataType} from a Dataset schema (numpy dtypes from
     pandas-backed blocks normalized to Arrow)."""
@@ -102,26 +106,60 @@ def _arrow_types(ds: "ray.data.Dataset") -> dict:
     return out
 
 
-def _align_to(all_cols: list[str], keep: list[str], types: dict,
-              extra: list[str]):
-    """Arrow-side union aligner: project to `all_cols` padding the columns
-    this side lacks with TYPED nulls (so the union schema is stable and
-    ints survive), carrying `extra` stamp columns through."""
+def _bucketed(ds: "ray.data.Dataset", cols: list[str], on: str,
+              n_buckets: int) -> "ray.data.Dataset":
+    """`ds` projected to `cols` and stamped `_bucket = hash(on) % n_buckets`."""
 
-    def fn(t: pa.Table) -> pa.Table:
-        arrays, names = [], []
-        for c in all_cols:
-            if c in keep:
-                arrays.append(t.column(c))
-            else:
-                arrays.append(pa.nulls(t.num_rows, types.get(c, pa.string())))
-            names.append(c)
-        for c in extra:
-            arrays.append(t.column(c))
-            names.append(c)
-        return pa.Table.from_arrays(arrays, names=names)
+    def stamp(t: pa.Table) -> pa.Table:
+        return t.append_column("_bucket", _bucket_array(t.column(on), n_buckets))
 
-    return fn
+    return ds.select_columns(cols).map_batches(stamp, batch_format="pyarrow")
+
+
+def _padding(n: int, typ: pa.DataType) -> pa.Array:
+    """`n` filler values of `typ` for a column the other side owns. Ints and
+    bools get zeros, not nulls: empty upstream blocks reach the shuffle as
+    pandas blocks, which can make its merge run in pandas, and there a null
+    turns the owner's int column into float64 and its bool column into
+    object. Other types get typed nulls, `pa.null()` an untyped one."""
+    if pa.types.is_integer(typ) or pa.types.is_boolean(typ):
+        return pa.array(np.zeros(n, typ.to_pandas_dtype()), typ)
+    return pa.nulls(n, typ)
+
+
+def _cogroup(left: "ray.data.Dataset", lcols: list[str], ltypes: dict,
+             right: "ray.data.Dataset", rcols: list[str], rtypes: dict,
+             per_bucket) -> "ray.data.Dataset":
+    """Co-group two `_bucket`-stamped Datasets: ONE union + `groupby(_bucket)`
+    shuffle, then `per_bucket(ldf, rdf) -> DataFrame` on each bucket's two
+    sides (`lcols` / `rcols`, each converted to pandas on its own).
+
+    A column only one side owns is padded on the other side with
+    `_padding` of the owner's type from `ltypes` / `rtypes`; a type missing
+    there pads with untyped nulls, which the shuffle's schema unification
+    promotes whenever the owning side has rows in the bucket."""
+    all_cols = list(dict.fromkeys([*lcols, *rcols]))
+
+    def pad(own: list[str], other_types: dict, side: int):
+        def fn(t: pa.Table) -> pa.Table:
+            n = t.num_rows
+            arrays = [t.column(c) if c in own
+                      else _padding(n, other_types.get(c, pa.null()))
+                      for c in all_cols]
+            arrays += [t.column("_bucket"), pa.array(np.full(n, side, np.int8))]
+            return pa.Table.from_arrays(arrays, names=[*all_cols, "_bucket", "_side"])
+
+        return fn
+
+    def split(t: pa.Table) -> pd.DataFrame:
+        is_left = pc.equal(t.column("_side"), 0)
+        ldf = t.filter(is_left).select(lcols).to_pandas()
+        rdf = t.filter(pc.invert(is_left)).select(rcols).to_pandas()
+        return per_bucket(ldf, rdf)
+
+    l = left.map_batches(pad(lcols, rtypes, 0), batch_format="pyarrow")
+    r = right.map_batches(pad(rcols, ltypes, 1), batch_format="pyarrow")
+    return l.union(r).groupby("_bucket").map_groups(split, batch_format="pyarrow")
 
 
 def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
@@ -149,17 +187,6 @@ def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     a grouped count/sum whose result is tiny) passed here means the full
     joined rows never leave the task — only the per-bucket partials travel,
     turning join→aggregate into ONE shuffle plus a trivial final combine."""
-
-    def stamp(side: str):
-        def fn(t: pa.Table) -> pa.Table:
-            from .aggregates import strip_schema_metadata
-
-            t = strip_schema_metadata(t)
-            t = t.append_column("_bucket", _bucket_array(t.column(on), n_buckets))
-            return t.append_column("_side", pa.array([side] * t.num_rows, pa.string()))
-
-        return fn
-
     lcols = sorted(set(left_cols or (left_types or left.schema().names)) | {on})
     rcols = sorted(set(right_cols or (right_types or right.schema().names)) | {on})
     overlap = (set(lcols) & set(rcols)) - {on}
@@ -171,57 +198,16 @@ def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
             "pass left_cols/right_cols (or rename) to disambiguate"
         )
 
-    def _types(ds) -> dict:
-        # Dataset.schema() reports numpy dtypes for pandas-backed blocks —
-        # normalize everything to Arrow DataTypes for the null padding
-        sch = ds.schema()
-        out = {}
-        for name, typ in zip(sch.names, sch.types):
-            if not isinstance(typ, pa.DataType):
-                try:
-                    typ = pa.from_numpy_dtype(typ)
-                except (pa.ArrowNotImplementedError, TypeError):
-                    typ = pa.string()
-            out[name] = typ
-        return out
-
-    l_schema = left_types if left_types is not None else _types(left)
-    r_schema = right_types if right_types is not None else _types(right)
-    all_cols = sorted(set(lcols) | set(rcols))
-
-    def align(keep: list[str], types: dict):
-        def fn(t: pa.Table) -> pa.Table:
-            # pad to the union schema with typed nulls so both sides union
-            arrays, names = [], []
-            for c in all_cols:
-                if c in keep:
-                    arrays.append(t.column(c))
-                else:
-                    other = r_schema.get(c) or l_schema.get(c) or pa.string()
-                    arrays.append(pa.nulls(t.num_rows, other))
-                names.append(c)
-            arrays.append(t.column("_bucket"))
-            names.append("_bucket")
-            arrays.append(t.column("_side"))
-            names.append("_side")
-            return pa.Table.from_arrays(arrays, names=names)
-
-        return fn
-
-    l = left.select_columns(lcols).map_batches(stamp("l"), batch_format="pyarrow").map_batches(
-        align(lcols, l_schema), batch_format="pyarrow"
-    )
-    r = right.select_columns(rcols).map_batches(stamp("r"), batch_format="pyarrow").map_batches(
-        align(rcols, r_schema), batch_format="pyarrow"
-    )
-
-    def join_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        ldf = _restore_int_dtypes(df[df["_side"] == "l"][lcols].copy(), lcols, l_schema)
-        rdf = _restore_int_dtypes(df[df["_side"] == "r"][rcols].copy(), rcols, r_schema)
+    def join_bucket(ldf: pd.DataFrame, rdf: pd.DataFrame) -> pd.DataFrame:
         merged = ldf.merge(rdf, on=on, how=how)
         return bucket_post(merged) if bucket_post is not None else merged
 
-    return l.union(r).groupby("_bucket").map_groups(join_bucket, batch_format="pandas")
+    return _cogroup(
+        _bucketed(left, lcols, on, n_buckets), lcols,
+        left_types if left_types is not None else _arrow_types(left),
+        _bucketed(right, rcols, on, n_buckets), rcols,
+        right_types if right_types is not None else _arrow_types(right),
+        join_bucket)
 
 
 def zip_join_assert(a: "ray.data.Dataset", b: "ray.data.Dataset", on: str,
@@ -229,38 +215,26 @@ def zip_join_assert(a: "ray.data.Dataset", b: "ray.data.Dataset", on: str,
                     a_cols: list[str] | None = None) -> "ray.data.Dataset":
     """J2 — 1:1 join with uniqueness asserts (shard-collect semantics).
 
-    Bucketed by hash(key) % B: each map_groups call merges a B-th of the key
-    space with ONE vectorized pandas merge (per-side key uniqueness + key-set
+    Bucketed by hash(key) % B: each bucket merges a B-th of the key space
+    with ONE vectorized pandas merge (per-side key uniqueness + key-set
     equality asserted per bucket), instead of building a one-row DataFrame
     per key — millions of tiny groups at scale. Pass `a_cols` to skip the
     schema probe (which executes a lazy upstream plan)."""
-    a_cols = list(a_cols) if a_cols is not None else list(a.schema().names)
+    a_types = _arrow_types(a) if a_cols is None else {}
+    a_cols = list(a_cols) if a_cols is not None else list(a_types)
+    b_cols = [on, *b_cols]
 
-    def stamp(side: str):
-        def fn(t: pa.Table) -> pa.Table:
-            from .aggregates import strip_schema_metadata
-
-            t = strip_schema_metadata(t)
-            t = t.append_column("_bucket", _bucket_array(t.column(on), n_buckets))
-            return t.append_column("_side", pa.array([side] * t.num_rows, pa.string()))
-
-        return fn
-
-    a2 = a.map_batches(stamp("a"), batch_format="pyarrow")
-    b2 = b.select_columns([on, *b_cols]).map_batches(stamp("b"), batch_format="pyarrow")
-
-    def zip_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        av = df[df["_side"] == "a"]
-        bv = df[df["_side"] == "b"]
+    def zip_bucket(av: pd.DataFrame, bv: pd.DataFrame) -> pd.DataFrame:
         assert av[on].is_unique and bv[on].is_unique, f"{on} not unique (1:1 zip join)"
         assert len(av) == len(bv) and set(av[on]) == set(bv[on]), (
             f"{on} key sets differ between zip-join sides"
         )
-        merged = av[a_cols].merge(bv[[on, *b_cols]], on=on, how="inner")
+        merged = av.merge(bv, on=on, how="inner")
         assert len(merged) == len(av)
         return merged
 
-    return a2.union(b2).groupby("_bucket").map_groups(zip_bucket, batch_format="pandas")
+    return _cogroup(_bucketed(a, a_cols, on, n_buckets), a_cols, a_types,
+                    _bucketed(b, b_cols, on, n_buckets), b_cols, {}, zip_bucket)
 
 
 def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
@@ -275,12 +249,12 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     forward = smallest >=). Left-outer semantics (unmatched -> nulls).
 
     Ray Data has no native as-of join; this is the bucketed composition:
-    stamp `_bucket = hash(by) % B` on BOTH sides (all history of a key is
-    co-located with all its probes), union, groupby(_bucket), then one
-    vectorized `pandas.merge_asof` per bucket over sorted frames. ONE
-    shuffle; per-bucket cost ~(|L|+|R|)/B log. Partitioning assumption: a
-    single `by` key's history fits in one task (band-partition `right_on`
-    within the key for pathological single-key streams).
+    `_bucket = hash(by) % B` on BOTH sides (all history of a key is
+    co-located with all its probes), then one vectorized
+    `pandas.merge_asof` per bucket over sorted frames. ONE shuffle;
+    per-bucket cost ~(|L|+|R|)/B log. Partitioning assumption: a single
+    `by` key's history fits in one task (band-partition `right_on` within
+    the key for pathological single-key streams).
 
     Determinism: ties on (by, right_on) are broken by sorting the right
     side on (right_on, *right_cols) — the LAST row wins in merge_asof, so
@@ -297,57 +271,26 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     if overlap:
         raise ValueError(f"asof_join: overlapping non-key columns {sorted(overlap)}")
 
-    def stamp(side: str):
-        def fn(t: pa.Table) -> pa.Table:
-            from .aggregates import strip_schema_metadata
-
-            t = strip_schema_metadata(t)
-            t = t.append_column("_bucket", _bucket_array(t.column(by), n_buckets))
-            return t.append_column("_side", pa.array([side] * t.num_rows, pa.string()))
-
-        return fn
-
-    # pad each side with TYPED null columns of the other so the union is
-    # schema-stable (merge_asof runs on the split frames, not the union)
-    all_cols = [*lcols, *[c for c in rcols if c != by]]
-    l_schema = {c: t for c, t in
-                (left_types or _arrow_types(left)).items() if c in lcols}
-    r_schema = {c: t for c, t in
-                (right_types or _arrow_types(right)).items() if c in rcols}
-    types = {**r_schema, **l_schema}
-
-    l = (left.select_columns(lcols)
-         .map_batches(stamp("l"), batch_format="pyarrow")
-         .map_batches(_align_to(all_cols, lcols, types, ["_bucket", "_side"]),
-                      batch_format="pyarrow"))
-    r = (right.select_columns(rcols)
-         .map_batches(stamp("r"), batch_format="pyarrow")
-         .map_batches(_align_to(all_cols, rcols, types, ["_bucket", "_side"]),
-                      batch_format="pyarrow"))
-
-    def asof_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        ldf = _restore_int_dtypes(df[df["_side"] == "l"][lcols].copy(),
-                                  lcols, l_schema)
-        rdf = _restore_int_dtypes(df[df["_side"] == "r"][rcols].copy(),
-                                  rcols, r_schema)
+    def asof_bucket(ldf: pd.DataFrame, rdf: pd.DataFrame) -> pd.DataFrame:
         if rdf.empty:
             for c in rcols:
                 if c != by:
                     ldf[c] = None
             return ldf
-        # datetime resolutions may diverge across the union ([s] vs [us]);
+        # datetime resolutions may diverge between the sides ([s] vs [us]);
         # merge_asof requires identical on-key dtypes — upcast losslessly
         if (ldf[left_on].dtype.kind == "M" and
                 rdf[right_on].dtype != ldf[left_on].dtype):
             rdf[right_on] = rdf[right_on].astype(ldf[left_on].dtype)
         rdf = rdf.sort_values([right_on, *right_cols], kind="mergesort")
         ldf = ldf.sort_values(left_on, kind="mergesort")
-        out = pd.merge_asof(ldf, rdf, left_on=left_on, right_on=right_on,
-                            by=by, direction=direction)
-        return out
+        return pd.merge_asof(ldf, rdf, left_on=left_on, right_on=right_on,
+                             by=by, direction=direction)
 
-    return l.union(r).groupby("_bucket").map_groups(asof_bucket,
-                                                    batch_format="pandas")
+    return _cogroup(_bucketed(left, lcols, by, n_buckets), lcols,
+                    left_types or _arrow_types(left),
+                    _bucketed(right, rcols, by, n_buckets), rcols,
+                    right_types or _arrow_types(right), asof_bucket)
 
 
 def interval_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
@@ -375,18 +318,26 @@ def interval_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     if overlap:
         raise ValueError(f"interval_join: overlapping columns {sorted(overlap)}")
 
-    def stamp_left(t: pa.Table) -> pa.Table:
-        from .aggregates import strip_schema_metadata
+    def stamp_bucket(t: pa.Table) -> pa.Table:
+        # COARSE bucket of (key, band): the Ray group count stays at
+        # n_buckets and the per-bucket pandas merge on [on, _g] does the
+        # fine matching vectorized. (The first version used key-bucket ×
+        # band as the group key — one near-empty pandas group per distinct
+        # band at scale, which dominated wall time.)
+        kh = _bucket_array(t.column(on), 1 << 30).to_numpy(
+            zero_copy_only=False).astype(np.uint64)
+        g = t.column("_g").to_numpy(zero_copy_only=False).astype(np.uint64)
+        mix = (kh * np.uint64(0x9E3779B97F4A7C15)) ^ g
+        return t.append_column(
+            "_bucket", pa.array((mix % np.uint64(n_buckets)).astype(np.int64),
+                                pa.int64()))
 
-        t = strip_schema_metadata(t)
+    def stamp_left(t: pa.Table) -> pa.Table:
         g = pc.divide(pc.cast(t.column(left_ts), pa.int64()),
                       pa.scalar(bucket_width, pa.int64()))
-        return t.append_column("_g", pc.cast(g, pa.int64()))
+        return stamp_bucket(t.append_column("_g", pc.cast(g, pa.int64())))
 
     def replicate_right(t: pa.Table) -> pa.Table:
-        from .aggregates import strip_schema_metadata
-
-        t = strip_schema_metadata(t)
         s = np.asarray(t.column(right_start).to_numpy(zero_copy_only=False),
                        dtype=np.int64) // bucket_width
         # end is exclusive: the band of (end - 1)
@@ -400,57 +351,13 @@ def interval_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
         offs = (np.arange(int(ends[-1]) if len(ends) else 0, dtype=np.int64)
                 - np.repeat(ends - reps, reps))
         out = t.take(pa.array(idx, pa.int64()))
-        return out.append_column("_g", pa.array(np.repeat(s, reps) + offs,
-                                                pa.int64()))
+        return stamp_bucket(out.append_column(
+            "_g", pa.array(np.repeat(s, reps) + offs, pa.int64())))
 
-    def stamp_bucket(side: str):
-        def fn(t: pa.Table) -> pa.Table:
-            # COARSE bucket of (key, band): the Ray group count stays at
-            # n_buckets and the per-bucket pandas merge on [on, _g] does the
-            # fine matching vectorized. (The first version used key-bucket ×
-            # band as the group key — one near-empty pandas group per
-            # distinct band at scale, which dominated wall time.)
-            kh = _bucket_array(t.column(on), 1 << 30).to_numpy(
-                zero_copy_only=False).astype(np.uint64)
-            g = t.column("_g").to_numpy(zero_copy_only=False).astype(np.uint64)
-            mix = (kh * np.uint64(0x9E3779B97F4A7C15)) ^ g
-            t = t.append_column(
-                "_bucket", pa.array((mix % np.uint64(n_buckets)).astype(np.int64),
-                                    pa.int64()))
-            return t.append_column("_side", pa.array([side] * t.num_rows,
-                                                     pa.string()))
-
-        return fn
-
-    all_cols = [*lcols, *[c for c in rcols if c != on]]
-    l_schema = {c: t for c, t in
-                (left_types or _arrow_types(left)).items() if c in lcols}
-    r_schema = {c: t for c, t in
-                (right_types or _arrow_types(right)).items() if c in rcols}
-    types = {**r_schema, **l_schema}
-
-    l = (left.select_columns(lcols)
-         .map_batches(stamp_left, batch_format="pyarrow")
-         .map_batches(stamp_bucket("l"), batch_format="pyarrow")
-         .map_batches(_align_to(all_cols, lcols, types,
-                                ["_g", "_bucket", "_side"]),
-                      batch_format="pyarrow"))
-    r = (right.select_columns(rcols)
-         .map_batches(replicate_right, batch_format="pyarrow")
-         .map_batches(stamp_bucket("r"), batch_format="pyarrow")
-         .map_batches(_align_to(all_cols, rcols, types,
-                                ["_g", "_bucket", "_side"]),
-                      batch_format="pyarrow"))
-
-    def join_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        ldf = _restore_int_dtypes(df[df["_side"] == "l"][[*lcols, "_g"]].copy(),
-                                  lcols, l_schema)
-        rdf = _restore_int_dtypes(df[df["_side"] == "r"][[*rcols, "_g"]].copy(),
-                                  rcols, r_schema)
+    def join_bucket(ldf: pd.DataFrame, rdf: pd.DataFrame) -> pd.DataFrame:
         merged = ldf.merge(rdf, on=[on, "_g"], how="inner")
-        ts = merged[left_ts].to_numpy(dtype=np.int64, na_value=0) \
-            if len(merged) else np.zeros(0, dtype=np.int64)
         if len(merged):
+            ts = merged[left_ts].to_numpy(dtype=np.int64, na_value=0)
             keep = ((merged[right_start].to_numpy(dtype=np.int64) <= ts)
                     & (ts < merged[right_end].to_numpy(dtype=np.int64)))
             merged = merged[keep]
@@ -459,8 +366,12 @@ def interval_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
             merged = post_filter(merged)
         return merged
 
-    return l.union(r).groupby("_bucket").map_groups(join_bucket,
-                                                    batch_format="pandas")
+    return _cogroup(
+        left.select_columns(lcols).map_batches(stamp_left, batch_format="pyarrow"),
+        [*lcols, "_g"], left_types or _arrow_types(left),
+        right.select_columns(rcols).map_batches(replicate_right,
+                                                batch_format="pyarrow"),
+        [*rcols, "_g"], right_types or _arrow_types(right), join_bucket)
 
 
 def skew_join(left: "ray.data.Dataset", right: "ray.data.Dataset", on: str,
@@ -492,7 +403,7 @@ def skew_join(left: "ray.data.Dataset", right: "ray.data.Dataset", on: str,
     identical to `hash_join(left, right, on)` — each (hot-left, hot-right)
     pair meets exactly once, in the left row's salted bucket — pinned by a
     pytest equivalence test."""
-    from .aggregates import grouped_count, strip_schema_metadata
+    from .aggregates import grouped_count
 
     lt = left_types or _arrow_types(left)
     rt = right_types or _arrow_types(right)
@@ -518,67 +429,30 @@ def skew_join(left: "ray.data.Dataset", right: "ray.data.Dataset", on: str,
         raise ValueError(
             f"skew_join: non-key columns {sorted(overlap)} exist on both "
             "sides; rename to disambiguate")
-    all_cols = sorted(set(lcols) | set(rcols))
-
-    def pad(t: pa.Table, keep: list[str], n_copies: int = 1) -> pa.Table:
-        arrays, names = [], []
-        for c in all_cols:
-            if c in keep:
-                col = t.column(c)
-                arrays.append(pa.chunked_array([col] * n_copies)
-                              if n_copies > 1 else col)
-            else:
-                arrays.append(pa.nulls(t.num_rows * n_copies,
-                                       rt.get(c) or lt.get(c) or pa.string()))
-            names.append(c)
-        return pa.Table.from_arrays(arrays, names=names)
 
     def stamp_left(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
         bucket = _bucket_array(t.column(on), n_buckets).to_numpy(
             zero_copy_only=False).copy()
         is_hot = pc.is_in(t.column(on), value_set=hot_arr).to_numpy(
             zero_copy_only=False)
         if is_hot.any():  # salt: spread hot rows round-robin over buckets
             bucket[is_hot] = np.arange(int(is_hot.sum())) % n_buckets
-        out = pad(t, lcols)
-        out = out.append_column("_bucket", pa.array(bucket, pa.int32()))
-        return out.append_column(
-            "_side", pa.array(["l"] * t.num_rows, pa.string()))
+        return t.append_column("_bucket", pa.array(bucket, pa.int32()))
 
     def stamp_right(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
         is_hot = pc.is_in(t.column(on), value_set=hot_arr)
         cold = t.filter(pc.invert(is_hot))
-        cold_out = pad(cold, rcols).append_column(
-            "_bucket", _bucket_array(cold.column(on), n_buckets))
-        parts = [cold_out]
         hot_t = t.filter(is_hot)
-        if hot_t.num_rows:  # replicate each hot right row into every bucket
-            rep = pad(hot_t, rcols, n_copies=n_buckets)
-            bkt = np.repeat(np.arange(n_buckets, dtype=np.int32),
-                            hot_t.num_rows)
-            parts.append(rep.append_column("_bucket", pa.array(bkt, pa.int32())))
-        out = pa.concat_tables(parts)
-        return out.append_column(
-            "_side", pa.array(["r"] * out.num_rows, pa.string()))
+        # replicate each hot right row into every bucket
+        return pa.concat_tables([cold, *[hot_t] * n_buckets]).append_column(
+            "_bucket", pa.concat_arrays([
+                _bucket_array(cold.column(on), n_buckets),
+                pa.array(np.repeat(np.arange(n_buckets, dtype=np.int32),
+                                   hot_t.num_rows))]))
 
-    l = left.select_columns(lcols).map_batches(stamp_left,
-                                               batch_format="pyarrow")
-    r = right.select_columns(rcols).map_batches(stamp_right,
-                                                batch_format="pyarrow")
-
-    def join_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        ldf = _restore_int_dtypes(df[df["_side"] == "l"][lcols].copy(),
-                                  lcols, lt)
-        rdf = _restore_int_dtypes(df[df["_side"] == "r"][rcols].copy(),
-                                  rcols, rt)
-        return ldf.merge(rdf, on=on, how="inner")
-
-    return l.union(r).groupby("_bucket").map_groups(join_bucket,
-                                                    batch_format="pandas")
-
-
-def _schema_fields(ds: "ray.data.Dataset"):
-    s = ds.schema()
-    return [pa.field(n, t) for n, t in zip(s.names, s.types)]
+    return _cogroup(
+        left.select_columns(lcols).map_batches(stamp_left, batch_format="pyarrow"),
+        lcols, lt,
+        right.select_columns(rcols).map_batches(stamp_right, batch_format="pyarrow"),
+        rcols, rt,
+        lambda ldf, rdf: ldf.merge(rdf, on=on, how="inner"))

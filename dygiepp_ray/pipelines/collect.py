@@ -1,81 +1,70 @@
 """Shard-collect pipeline (SURVEY.md §3.3; dw-experiments/2020-09-03).
 
 Two models' prediction runs over the same corpus → one merged set:
-1. drop `_failed_prediction` marker rows from BOTH sides (the reference skips
-   docs marked by upstream failures — 03_collect_shards.py:23, 44-50);
-2. zip-join on doc_key with 1:1 asserts (03_collect_shards.py:36-46);
-3. merge the two models' coref clusters with the D1 worklist algorithm
-   (merge.py:51-100).
+1. zip-join on doc_key with 1:1 asserts (03_collect_shards.py:36-46) —
+   `joins.zip_join_assert`, model B's clusters renamed to `b_clusters`;
+2. skip docs whose `_failed_prediction` marker is set on EITHER side (the
+   reference skips docs marked by upstream failures —
+   03_collect_shards.py:23, 44-50);
+3. merge the two models' coref clusters per row with the D1 worklist
+   algorithm (merge.py:51-100).
 
 Returns documents with model A's predictions plus `merged_clusters`.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
-import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray.data
 
+from ..joins import zip_join_assert
 from ..stages.coref import merge_clusters
 
+_FAILED = "_failed_prediction"
 
-def _drop_failed(ds: "ray.data.Dataset") -> "ray.data.Dataset":
-    if "_failed_prediction" not in ds.schema().names:
-        return ds
 
-    def keep_ok(t: pa.Table) -> pa.Table:
-        return t.filter(pc.invert(pc.fill_null(t["_failed_prediction"], False)))
-
-    return ds.map_batches(keep_ok, batch_format="pyarrow")
+def _spans(clusters) -> list:
+    if clusters is None:
+        return []
+    return [[(m["start"], m["end"]) for m in c] for c in list(clusters)]
 
 
 def collect_model_runs(run_a: "ray.data.Dataset", run_b: "ray.data.Dataset",
                        carry_cols: list[str] | None = None) -> "ray.data.Dataset":
-    """J2 + D1: failed-row skip, 1:1 zip-join on doc_key, cluster merge.
+    """J2 + D1: 1:1 zip-join on doc_key, failed-row skip, cluster merge.
     `carry_cols`: model-A columns to keep alongside doc_key (default: the
     prediction columns present)."""
-    a = _drop_failed(run_a)
-    b = _drop_failed(run_b)
-    default_carry = [c for c in ("sentences", "predicted_ner", "predicted_relations",
-                                 "predicted_events", "predicted_clusters")
-                     if c in run_a.schema().names]
-    carry = carry_cols or default_carry
+    names_a = run_a.schema().names
+    carry = carry_cols or [c for c in ("sentences", "predicted_ner",
+                                       "predicted_relations", "predicted_events",
+                                       "predicted_clusters") if c in names_a]
+    a_cols = ["doc_key", *carry]
+    if _FAILED in names_a and _FAILED not in a_cols:
+        a_cols.append(_FAILED)
+    b_src, b_cols = ["doc_key", "predicted_clusters"], ["b_clusters"]
+    if _FAILED in run_b.schema().names:
+        b_src.append(_FAILED)
+        b_cols.append("_b_failed")
+    b = run_b.select_columns(b_src).map_batches(
+        lambda t: t.rename_columns(["doc_key", *b_cols]), batch_format="pyarrow")
+    joined = zip_join_assert(run_a, b, "doc_key", b_cols, a_cols=a_cols)
 
-    def stamp(side: str):
-        def fn(t: pa.Table) -> pa.Table:
-            return t.append_column("_side", pa.array([side] * t.num_rows, pa.string()))
-
-        return fn
-
-    a2 = a.select_columns(["doc_key", *carry]).map_batches(stamp("a"), batch_format="pyarrow")
-    b2 = b.select_columns(["doc_key", "predicted_clusters"]).map_batches(
-        stamp("b"), batch_format="pyarrow"
-    )
-
-    def zip_merge(df: pd.DataFrame) -> pd.DataFrame:
-        av = df[df["_side"] == "a"]
-        bv = df[df["_side"] == "b"]
-        key = df["doc_key"].iloc[0]
-        if len(av) == 0 or len(bv) == 0:
-            # one model failed this doc → reference drops it from the merge
-            return pd.DataFrame(columns=["doc_key", *carry, "merged_clusters"])
-        assert len(av) == 1 and len(bv) == 1, f"doc_key {key!r} not unique"
-
-        def to_lists(clusters):
-            if clusters is None:
-                return []
-            return [[(m["start"], m["end"]) for m in c] for c in list(clusters)]
-
-        merged = merge_clusters(
-            to_lists(av["predicted_clusters"].iloc[0]) if "predicted_clusters" in av else [],
-            to_lists(bv["predicted_clusters"].iloc[0]),
-        )
-        row = {c: av.iloc[0][c] for c in ("doc_key", *carry)}
-        row["merged_clusters"] = [
-            [{"start": s, "end": e} for (s, e) in c] for c in merged
+    def merge_rows(df: pd.DataFrame) -> pd.DataFrame:
+        failed = np.zeros(len(df), bool)
+        for c in (_FAILED, "_b_failed"):
+            if c in df:
+                failed |= df[c].eq(True).to_numpy()
+        df = df[~failed]
+        a_clusters = (df["predicted_clusters"] if "predicted_clusters" in carry
+                      else [None] * len(df))
+        out = df[["doc_key", *carry]].reset_index(drop=True)
+        out["merged_clusters"] = [
+            [[{"start": s, "end": e} for (s, e) in c]
+             for c in merge_clusters(_spans(ca), _spans(cb))]
+            for ca, cb in zip(a_clusters, df["b_clusters"])
         ]
-        return pd.DataFrame([row])
+        return out
 
-    return a2.union(b2).groupby("doc_key").map_groups(zip_merge, batch_format="pandas")
+    return joined.map_batches(merge_rows, batch_format="pandas")

@@ -28,6 +28,8 @@ from ..state.manifest import (
     assign_buckets,
     completed_buckets,
     input_fingerprint,
+    read_json,
+    write_json_atomic,
     write_manifest,
 )
 
@@ -427,7 +429,6 @@ def build_kg_incremental(input_dir: str, out_dir: str,
     new/changed shards; untouched shards are never re-read. Count/graph
     tables re-derive from the (much smaller) triple table downstream."""
     import glob as _glob
-    import json as _json
     import os as _os
     import shutil as _shutil
 
@@ -445,12 +446,10 @@ def build_kg_incremental(input_dir: str, out_dir: str,
     for f in shards:
         stem = stem_of(f)
         mpath = _os.path.join(mdir, f"{stem}.json")
-        if _os.path.exists(mpath):
-            with open(mpath) as fh:
-                rec = _json.load(fh)
-            if rec.get("fingerprint") == shard_fp(f):
-                skipped.append(stem)
-                continue
+        rec = read_json(mpath)
+        if rec is not None and rec.get("fingerprint") == shard_fp(f):
+            skipped.append(stem)
+            continue
         pending.append((stem, f))
     for stem, _f in pending:
         part = _os.path.join(out_dir, f"shard={stem}")
@@ -485,8 +484,8 @@ def build_kg_incremental(input_dir: str, out_dir: str,
     triples.write_parquet(out_dir, partition_cols=["shard"])
     written = []
     for stem, f in pending:
-        with open(_os.path.join(mdir, f"{stem}.json"), "w") as fh:
-            _json.dump({"fingerprint": shard_fp(f), "engine": 1}, fh)
+        write_json_atomic(_os.path.join(mdir, f"{stem}.json"),
+                          {"fingerprint": shard_fp(f), "engine": 1})
         written.append(stem)
     return {"written_shards": sorted(written), "skipped_shards": sorted(skipped)}
 
@@ -730,8 +729,20 @@ def _undirected_edges(triples: "ray.data.Dataset",
     ).select_columns(["u", "v"]).materialize()
 
 
-def _closed_wedges(edges: "ray.data.Dataset", n_buckets: int,
-                   bucket_post) -> "ray.data.Dataset":
+def _node_degrees(edges: "ray.data.Dataset") -> "ray.data.Dataset":
+    """(node, deg) over a distinct undirected edge set (u, v). Materialized
+    — the wedge closure joins it twice and callers reuse it."""
+
+    def endpoints(t: pa.Table) -> pa.Table:
+        return pa.table({"node": pa.concat_arrays(
+            [t.column("u").combine_chunks(), t.column("v").combine_chunks()])})
+
+    return grouped_count(edges.map_batches(endpoints, batch_format="pyarrow"),
+                         ["node"], out_name="deg").materialize()
+
+
+def _closed_wedges(edges: "ray.data.Dataset", deg: "ray.data.Dataset",
+                   n_buckets: int, bucket_post) -> "ray.data.Dataset":
     """Degree-ordered wedge generation + closing-edge semi join over a
     distinct undirected edge set: every edge orients from its lower-
     (degree, name) endpoint to the higher one, wedges are unordered
@@ -740,8 +751,9 @@ def _closed_wedges(edges: "ray.data.Dataset", n_buckets: int,
     exactly once — as the merged row (src, x, y) with x < y — at its
     minimum-(degree, name) vertex, and a degree-d hub emits O(sqrt(m))
     wedges instead of O(d²) (the standard MapReduce triangle bound).
-    `bucket_post` receives the closed-wedge rows INSIDE the final join
-    task (aggregate pushdown — full triangle rows never leave it)."""
+    `deg` is `_node_degrees(edges)`. `bucket_post` receives the closed-wedge
+    rows INSIDE the final join task (aggregate pushdown — full triangle
+    rows never leave it)."""
     import numpy as np
     import pandas as pd
 
@@ -750,19 +762,6 @@ def _closed_wedges(edges: "ray.data.Dataset", n_buckets: int,
 
     s_t, i_t = pa.string(), pa.int64()
     SEP = _TRI_SEP
-
-    def explode_nodes(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        cols = []
-        for c in ("u", "v"):
-            arr = t.column(c).combine_chunks()
-            cols.extend(arr.chunks if isinstance(arr, pa.ChunkedArray)
-                        else [arr])
-        return pa.table({"node": pa.concat_arrays(cols)})
-
-    deg = grouped_count(
-        edges.map_batches(explode_nodes, batch_format="pyarrow"),
-        ["node"], out_name="deg")
 
     d_u = deg.map_batches(
         lambda t: strip_schema_metadata(t).rename_columns(["u", "deg_u"]),
@@ -835,15 +834,10 @@ def _closed_wedges(edges: "ray.data.Dataset", n_buckets: int,
         bucket_post=bucket_post)
 
 
-def triangle_counts(triples: "ray.data.Dataset", salt_buckets: int = 1,
-                    n_buckets: int = 32) -> "ray.data.Dataset":
-    """(node, n_triangles) — per-node triangle participation over the
-    DISTINCT undirected KG edge set (graph-quality analytics: clustering
-    structure of the extracted graph). The wedge-closure machinery is
-    `_closed_wedges` (degree-ordered generation, bucketed joins, O(sqrt(m))
-    hub bound); the per-node count is a partial+final sum over in-join
-    per-node partials. The result is orientation-invariant, so the SQL
-    oracle may use plain lexicographic self-joins."""
+def _triangles_per_node(edges: "ray.data.Dataset", deg: "ray.data.Dataset",
+                        n_buckets: int) -> "ray.data.Dataset":
+    """(node, n_triangles) from a distinct undirected edge set and its
+    `_node_degrees`: a partial+final sum over in-join per-node partials."""
     import numpy as np
     import pandas as pd
 
@@ -857,10 +851,21 @@ def triangle_counts(triples: "ray.data.Dataset", salt_buckets: int = 1,
         return pd.DataFrame({"node": vc.index.astype(object),
                              "n_part": vc.to_numpy(np.int64)})
 
+    return partial_final_agg(_closed_wedges(edges, deg, n_buckets, node_partials),
+                             ["node"], [("n_triangles", "n_part", "sum")])
+
+
+def triangle_counts(triples: "ray.data.Dataset", salt_buckets: int = 1,
+                    n_buckets: int = 32) -> "ray.data.Dataset":
+    """(node, n_triangles) — per-node triangle participation over the
+    DISTINCT undirected KG edge set (graph-quality analytics: clustering
+    structure of the extracted graph). The wedge-closure machinery is
+    `_closed_wedges` (degree-ordered generation, bucketed joins, O(sqrt(m))
+    hub bound); the per-node count is a partial+final sum over in-join
+    per-node partials. The result is orientation-invariant, so the SQL
+    oracle may use plain lexicographic self-joins."""
     edges = _undirected_edges(triples, salt_buckets)
-    tri_nodes = _closed_wedges(edges, n_buckets, node_partials)
-    return partial_final_agg(tri_nodes, ["node"],
-                             [("n_triangles", "n_part", "sum")])
+    return _triangles_per_node(edges, _node_degrees(edges), n_buckets)
 
 
 def edge_support(triples: "ray.data.Dataset", salt_buckets: int = 1,
@@ -896,7 +901,8 @@ def edge_support(triples: "ray.data.Dataset", salt_buckets: int = 1,
             columns={"one": "n_part"})
 
     edges = _undirected_edges(triples, salt_buckets)
-    sup = partial_final_agg(_closed_wedges(edges, n_buckets, edge_partials),
+    sup = partial_final_agg(_closed_wedges(edges, _node_degrees(edges),
+                                           n_buckets, edge_partials),
                             ["u", "v"], [("support", "n_part", "sum")])
 
     def pair_key(t: pa.Table) -> pa.Table:
@@ -943,23 +949,10 @@ def degree_gini(triples: "ray.data.Dataset", salt_buckets: int = 1,
     import numpy as np
     import pandas as pd
 
-    from ..aggregates import partial_final_agg, strip_schema_metadata
+    from ..aggregates import partial_final_agg
     from ..windows import ordered_prefix_sum
 
-    edges = _undirected_edges(triples, salt_buckets)
-
-    def explode_nodes(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        cols = []
-        for c in ("u", "v"):
-            arr = t.column(c).combine_chunks()
-            cols.extend(arr.chunks if isinstance(arr, pa.ChunkedArray)
-                        else [arr])
-        return pa.table({"node": pa.concat_arrays(cols)})
-
-    deg = grouped_count(
-        edges.map_batches(explode_nodes, batch_format="pyarrow"),
-        ["node"], out_name="deg")
+    deg = _node_degrees(_undirected_edges(triples, salt_buckets))
 
     # tie-group to the distinct-degree table so ordered_prefix_sum's
     # unique-order contract holds
@@ -1005,51 +998,20 @@ def clustering_coefficient(triples: "ray.data.Dataset", scale: int = 10_000,
     """(node, deg, n_triangles, cc_scaled) — LOCAL clustering coefficient
     over the DISTINCT undirected non-loop edge set: cc = 2T / (deg·(deg−1))
     as the exact scaled integer `2·T·scale // (deg·(deg−1))` (0 for
-    deg < 2). Graph-quality analytics composing `triangle_counts` (which
-    already bounds hub wedges at O(sqrt(m))) with a per-node degree count
-    and ONE bucketed LEFT join; all arithmetic integer, so the driver
-    value-hash oracle holds bit-for-bit.
-
-    Callers chaining off an expensive triples pipeline should pass a
-    materialized distinct-edge dataset — `triples` is consumed twice
-    (triangles + degrees)."""
+    deg < 2). Graph-quality analytics: ONE distinct edge set and ONE
+    per-node degree table feed both the wedge closure (which bounds hub
+    wedges at O(sqrt(m))) and a bucketed LEFT join of degrees onto the
+    triangle counts; all arithmetic integer, so the value-hash oracle
+    holds bit-for-bit."""
     import numpy as np
     import pandas as pd
 
-    from ..aggregates import strip_schema_metadata
     from ..joins import hash_join
 
     s_t, i_t = pa.string(), pa.int64()
-    tri = triangle_counts(triples, salt_buckets=salt_buckets,
-                          n_buckets=n_buckets)
-
-    def canon(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        s = t.column("subj_norm").combine_chunks().cast(pa.string())
-        o = t.column("obj_norm").combine_chunks().cast(pa.string())
-        u = pc.min_element_wise(s, o)
-        v = pc.max_element_wise(s, o)
-        keep = pc.invert(pc.equal(s, o))
-        return pa.table({"u": u, "v": v}).filter(keep)
-
-    edges = grouped_count(
-        triples.select_columns(["subj_norm", "obj_norm"]).map_batches(
-            canon, batch_format="pyarrow"),
-        ["u", "v"], out_name="_c", salt_buckets=salt_buckets
-    ).select_columns(["u", "v"])
-
-    def explode_nodes(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        cols = []
-        for c in ("u", "v"):
-            arr = t.column(c).combine_chunks()
-            cols.extend(arr.chunks if isinstance(arr, pa.ChunkedArray)
-                        else [arr])
-        return pa.table({"node": pa.concat_arrays(cols)})
-
-    deg = grouped_count(
-        edges.map_batches(explode_nodes, batch_format="pyarrow"),
-        ["node"], out_name="deg")
+    edges = _undirected_edges(triples, salt_buckets)
+    deg = _node_degrees(edges)
+    tri = _triangles_per_node(edges, deg, n_buckets)
 
     def cc_post(m: "pd.DataFrame") -> "pd.DataFrame":
         d = m["deg"].to_numpy("int64")
@@ -1379,20 +1341,7 @@ def link_prediction(triples: "ray.data.Dataset", max_center_degree: int = 64,
     s_t, i_t = pa.string(), pa.int64()
     SEP = "\x1f"
 
-    def canon(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        s = t.column("subj_norm").combine_chunks().cast(pa.string())
-        o = t.column("obj_norm").combine_chunks().cast(pa.string())
-        u = pc.min_element_wise(s, o)
-        v = pc.max_element_wise(s, o)
-        keep = pc.invert(pc.equal(s, o))
-        return pa.table({"u": u, "v": v}).filter(keep)
-
-    edges = grouped_count(
-        triples.select_columns(["subj_norm", "obj_norm"]).map_batches(
-            canon, batch_format="pyarrow"),
-        ["u", "v"], out_name="_c", salt_buckets=salt_buckets
-    ).select_columns(["u", "v"]).materialize()
+    edges = _undirected_edges(triples, salt_buckets)
 
     def sym(t: pa.Table) -> pa.Table:
         t = strip_schema_metadata(t)
@@ -1541,20 +1490,7 @@ def neighborhood_jaccard(triples: "ray.data.Dataset",
     s_t, i_t = pa.string(), pa.int64()
     SEP = "\x1f"
 
-    def canon(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        s = t.column("subj_norm").combine_chunks().cast(pa.string())
-        o = t.column("obj_norm").combine_chunks().cast(pa.string())
-        u = pc.min_element_wise(s, o)
-        v = pc.max_element_wise(s, o)
-        keep = pc.invert(pc.equal(s, o))
-        return pa.table({"u": u, "v": v}).filter(keep)
-
-    edges = grouped_count(
-        triples.select_columns(["subj_norm", "obj_norm"]).map_batches(
-            canon, batch_format="pyarrow"),
-        ["u", "v"], out_name="_c", salt_buckets=salt_buckets
-    ).select_columns(["u", "v"]).materialize()
+    edges = _undirected_edges(triples, salt_buckets)
 
     def sym(t: pa.Table) -> pa.Table:
         t = strip_schema_metadata(t)

@@ -654,6 +654,25 @@ def _sha_bucket(shas: pd.Series, n_buckets: int) -> pd.Series:
     return shas.str[:8].map(lambda s: int(s, 16) % n_buckets).astype("int64")
 
 
+def _sha_rows(df: pd.DataFrame, n_buckets: int, id_col: str,
+              bucket_col: str) -> pd.DataFrame:
+    """(text_sha, id_col, bucket_col) exact-dedup fingerprint rows."""
+    out = df[["text_sha", id_col]].copy()
+    out[bucket_col] = _sha_bucket(out["text_sha"], n_buckets)
+    return out
+
+
+def _doc_sha_rows(n_buckets: int, id_col: str, text_col: str,
+                  bucket_col: str):
+    """map_batches fn: documents batch → `_sha_rows`."""
+
+    def fn(t: pa.Table) -> pd.DataFrame:
+        sha = _text_sha(t, text_col).select(["text_sha", id_col]).to_pandas()
+        return _sha_rows(sha, n_buckets, id_col, bucket_col)
+
+    return fn
+
+
 def build_dedup_store(docs: "ray.data.Dataset", out_dir: str,
                       n_buckets: int = 32, id_col: str = "doc_id",
                       text_col: str = "text") -> str:
@@ -663,15 +682,25 @@ def build_dedup_store(docs: "ray.data.Dataset", out_dir: str,
     against the store by reading ONLY the buckets their own hashes fall in,
     never rescanning (or reshuffling) the historical corpus.  Mirrors the
     persisted LSH / inverted-index stores."""
-
-    def sigs(t: "pa.Table") -> pd.DataFrame:
-        df = _text_sha(t, text_col).select(["text_sha", id_col]).to_pandas()
-        df["bucket"] = _sha_bucket(df["text_sha"], n_buckets)
-        return df
-
-    docs.map_batches(sigs, batch_format="pyarrow").write_parquet(
+    docs.map_batches(_doc_sha_rows(n_buckets, id_col, text_col, "bucket"),
+                     batch_format="pyarrow").write_parquet(
         out_dir, partition_cols=["bucket"])
     return out_dir
+
+
+def _store_paths(new_rows: "ray.data.Dataset", store_dir: str) -> list[str]:
+    """Parquet files of the store partitions `bucket=<b>` whose b is a
+    `_bucket` of `new_rows`: per-block distinct + a local set union
+    (≤ n_buckets values per block — no shuffle needed for a set this
+    small)."""
+    import glob
+    import os
+
+    need = sorted({int(r["_bucket"]) for r in new_rows.map_batches(
+        lambda df: df[["_bucket"]].drop_duplicates(),
+        batch_format="pandas").take_all()})
+    return [f for b in need for f in sorted(
+        glob.glob(os.path.join(store_dir, f"bucket={b}", "*.parquet")))]
 
 
 def dedup_against_store(new_docs: "ray.data.Dataset", store_dir: str,
@@ -683,48 +712,25 @@ def dedup_against_store(new_docs: "ray.data.Dataset", store_dir: str,
     Selective I/O: the new shard's sha buckets are collected first (a tiny
     distinct set) and only those `bucket=<b>` partition dirs are read — for
     a small append against a huge historical store, I/O is proportional to
-    the APPEND, not the store.  The merge is one union + coarse-bucket
-    groupby with a vectorized per-bucket join."""
-    import glob
-    import os
+    the APPEND, not the store.  The merge is one `joins._cogroup` over the
+    sha bucket with a vectorized per-bucket join."""
+    from ..joins import _cogroup
 
-    def sigs(t: "pa.Table") -> pd.DataFrame:
-        df = _text_sha(t, text_col).select(["text_sha", id_col]).to_pandas()
-        df["bucket"] = _sha_bucket(df["text_sha"], n_buckets)
-        return df
-
-    new_sigs = new_docs.map_batches(sigs, batch_format="pyarrow").materialize()
-    # bucket set: per-block distinct + driver union (≤ n_buckets values per
-    # block — no shuffle needed for a set this small)
-    need = sorted({int(r["bucket"]) for r in new_sigs.map_batches(
-        lambda df: df[["bucket"]].drop_duplicates(),
-        batch_format="pandas").take_all()})
-    paths = [f for b in need for f in sorted(
-        glob.glob(os.path.join(store_dir, f"bucket={b}", "*.parquet")))]
+    new_sigs = new_docs.map_batches(
+        _doc_sha_rows(n_buckets, id_col, text_col, "_bucket"),
+        batch_format="pyarrow").materialize()
+    paths = _store_paths(new_sigs, store_dir)
     if not paths:
         return new_sigs.map_batches(
             lambda df: pd.DataFrame({id_col: pd.Series([], dtype="int64"),
                                      "dup_of": pd.Series([], dtype="int64")}),
             batch_format="pandas").limit(1)
 
-    def tag(side: int):
-        def fn(df: pd.DataFrame) -> pd.DataFrame:
-            out = df[["text_sha", id_col]].copy()
-            out["bucket"] = _sha_bucket(out["text_sha"], n_buckets)
-            out["_side"] = np.int64(side)
-            return out
-        return fn
-
     store = ray.data.read_parquet(paths).map_batches(
-        tag(0), batch_format="pandas")
-    newer = new_sigs.map_batches(tag(1), batch_format="pandas")
+        lambda df: _sha_rows(df, n_buckets, id_col, "_bucket"),
+        batch_format="pandas")
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        old = df[df["_side"] == 0]
-        new = df[df["_side"] == 1]
-        if not len(old) or not len(new):
-            return pd.DataFrame({id_col: pd.Series([], dtype="int64"),
-                                 "dup_of": pd.Series([], dtype="int64")})
+    def merge(old: pd.DataFrame, new: pd.DataFrame) -> pd.DataFrame:
         first = old.groupby("text_sha", sort=False)[id_col].min().rename(
             "dup_of")
         hit = new.merge(first, left_on="text_sha", right_index=True,
@@ -732,8 +738,8 @@ def dedup_against_store(new_docs: "ray.data.Dataset", store_dir: str,
         return pd.DataFrame({id_col: hit[id_col].astype("int64"),
                              "dup_of": hit["dup_of"].astype("int64")})
 
-    return store.union(newer).groupby("bucket").map_groups(
-        merge, batch_format="pandas")
+    cols = ["text_sha", id_col]
+    return _cogroup(store, cols, {}, new_sigs, cols, {}, merge)
 
 
 # ----------------------------------------------------------- span-level dedup
@@ -1086,6 +1092,28 @@ def _band_bucket(keys: np.ndarray, n_buckets: int) -> np.ndarray:
     return (keys.astype(np.uint64) % np.uint64(n_buckets)).astype(np.int64)
 
 
+def _minhash_sigs(docs: "ray.data.Dataset", n_perm: int, shingle_k: int,
+                  id_col: str, text_col: str) -> "ray.data.Dataset":
+    """(id_col, minhash) signature rows of a documents table."""
+    return docs.select_columns([id_col, text_col]).map_batches(
+        MinHasher, fn_constructor_kwargs=dict(
+            n_perm=n_perm, shingle_k=shingle_k, text_col=text_col,
+            id_col=id_col),
+        batch_format="pandas", concurrency=(1, 8))
+
+
+def _band_rows(df: pd.DataFrame, n_bands: int, n_buckets: int, id_col: str,
+               bucket_col: str) -> pd.DataFrame:
+    """(band_key, id_col, minhash_b, bucket_col) rows of a MinHash
+    signature batch; `minhash_b` is the packed int64 signature."""
+    b = minhash_bands(df, n_bands, id_col)
+    packed = np.array([np.asarray(s, dtype=np.int64).tobytes()
+                       for s in df["minhash"]], dtype=object)
+    b["minhash_b"] = np.repeat(packed, n_bands)
+    b[bucket_col] = _band_bucket(b["band_key"].to_numpy("int64"), n_buckets)
+    return b
+
+
 def build_neardup_store(docs: "ray.data.Dataset", out_dir: str,
                         n_perm: int = 64, n_bands: int = 16,
                         shingle_k: int = 3, n_buckets: int = 32,
@@ -1100,23 +1128,9 @@ def build_neardup_store(docs: "ray.data.Dataset", out_dir: str,
     band rows (512 B at 64 perms — the one-shuffle verify tradeoff
     documented in minhash_lsh_pairs), so matching needs no second join
     against a signature table."""
-    sigs = docs.select_columns([id_col, text_col]).map_batches(
-        MinHasher, fn_constructor_kwargs=dict(
-            n_perm=n_perm, shingle_k=shingle_k, text_col=text_col,
-            id_col=id_col),
-        batch_format="pandas", concurrency=(1, 8))
-
-    def band_rows(df: pd.DataFrame) -> pd.DataFrame:
-        b = minhash_bands(df, n_bands, id_col)
-        packed = np.array([np.asarray(s, dtype=np.int64).tobytes()
-                           for s in df["minhash"]], dtype=object)
-        b["minhash_b"] = np.repeat(packed, n_bands)
-        b["bucket"] = _band_bucket(b["band_key"].to_numpy("int64"),
-                                   n_buckets)
-        return b
-
-    sigs.map_batches(band_rows, batch_format="pandas").write_parquet(
-        out_dir, partition_cols=["bucket"])
+    _minhash_sigs(docs, n_perm, shingle_k, id_col, text_col).map_batches(
+        lambda df: _band_rows(df, n_bands, n_buckets, id_col, "bucket"),
+        batch_format="pandas").write_parquet(out_dir, partition_cols=["bucket"])
     return out_dir
 
 
@@ -1132,43 +1146,19 @@ def neardup_against_store(new_docs: "ray.data.Dataset", store_dir: str,
 
     Selective I/O: only the `bucket=` partitions the new shard's band
     keys fall in are read — I/O proportional to the APPEND, never the
-    store. One coarse band-bucket groupby merges the sides; the per-band
-    verify compares the new×stored signature matrices (chunk-bounded like
-    minhash_lsh_pairs' verify); per-bucket (new, stored, matches)
-    candidates reduce to the best via one grouped argmax."""
-    import glob
-    import os
-
+    store. One `joins._cogroup` over the band bucket pairs the sides; the
+    per-band verify compares the new×stored signature matrices
+    (chunk-bounded like minhash_lsh_pairs' verify); per-bucket (new,
+    stored, matches) candidates reduce to the best via one grouped
+    argmax."""
     from ..aggregates import argmax_per_key
+    from ..joins import _cogroup
 
-    sigs = new_docs.select_columns([id_col, text_col]).map_batches(
-        MinHasher, fn_constructor_kwargs=dict(
-            n_perm=n_perm, shingle_k=shingle_k, text_col=text_col,
-            id_col=id_col),
-        batch_format="pandas", concurrency=(1, 8))
-
-    def band_rows(side: int):
-        def fn(df: pd.DataFrame) -> pd.DataFrame:
-            if "minhash" in df.columns:
-                b = minhash_bands(df, n_bands, id_col)
-                packed = np.array([np.asarray(s, dtype=np.int64).tobytes()
-                                   for s in df["minhash"]], dtype=object)
-                b["minhash_b"] = np.repeat(packed, n_bands)
-                b["bucket"] = _band_bucket(b["band_key"].to_numpy("int64"),
-                                           n_buckets)
-            else:  # store rows already in band form
-                b = df[["band_key", id_col, "minhash_b", "bucket"]].copy()
-            b["_side"] = np.int64(side)
-            return b
-        return fn
-
-    new_rows = sigs.map_batches(band_rows(1),
-                                batch_format="pandas").materialize()
-    need = sorted({int(r["bucket"]) for r in new_rows.map_batches(
-        lambda df: df[["bucket"]].drop_duplicates(),
-        batch_format="pandas").take_all()})
-    paths = [f for b in need for f in sorted(
-        glob.glob(os.path.join(store_dir, f"bucket={b}", "*.parquet")))]
+    new_rows = _minhash_sigs(new_docs, n_perm, shingle_k, id_col, text_col) \
+        .map_batches(lambda df: _band_rows(df, n_bands, n_buckets, id_col,
+                                           "_bucket"),
+                     batch_format="pandas").materialize()
+    paths = _store_paths(new_rows, store_dir)
     empty = pd.DataFrame({id_col: pd.Series([], dtype="int64"),
                           "dup_of": pd.Series([], dtype="int64"),
                           "est_matches": pd.Series([], dtype="int64")})
@@ -1178,26 +1168,26 @@ def neardup_against_store(new_docs: "ray.data.Dataset", store_dir: str,
 
     def fix_store(df: pd.DataFrame) -> pd.DataFrame:
         df = df[["band_key", id_col, "minhash_b"]].copy()
-        df["bucket"] = _band_bucket(df["band_key"].to_numpy("int64"),
-                                    n_buckets)
-        df["_side"] = np.int64(0)
+        df["_bucket"] = _band_bucket(df["band_key"].to_numpy("int64"),
+                                     n_buckets)
         return df
 
     store = ray.data.read_parquet(paths).map_batches(
         fix_store, batch_format="pandas")
 
-    def match(df: pd.DataFrame) -> pd.DataFrame:
+    def match(old: pd.DataFrame, new: pd.DataFrame) -> pd.DataFrame:
         out = []
-        df = df[df["band_key"].duplicated(keep=False)]
-        for _k, g in df.groupby("band_key", sort=False):
-            old = g[g["_side"] == 0].drop_duplicates(id_col)
-            new = g[g["_side"] == 1].drop_duplicates(id_col)
-            if not len(old) or not len(new):
-                continue
+        old = old[old["band_key"].isin(new["band_key"])].drop_duplicates(
+            ["band_key", id_col])
+        new = new[new["band_key"].isin(old["band_key"])].drop_duplicates(
+            ["band_key", id_col])
+        old_by_band = dict(tuple(old.groupby("band_key", sort=False)))
+        for k, new_g in new.groupby("band_key", sort=False):
+            old_g = old_by_band[k]
             so = np.stack([np.frombuffer(b, dtype=np.int64)
-                           for b in old["minhash_b"]])
+                           for b in old_g["minhash_b"]])
             sn = np.stack([np.frombuffer(b, dtype=np.int64)
-                           for b in new["minhash_b"]])
+                           for b in new_g["minhash_b"]])
             # chunk the new side against the stored matrix (~32 MB bound,
             # the minhash_lsh_pairs verify discipline) — a boilerplate-
             # heavy band with 10k stored members would otherwise build an
@@ -1210,13 +1200,13 @@ def neardup_against_store(new_docs: "ray.data.Dataset", store_dir: str,
                 ri, cj = np.nonzero(ok)
                 if ri.size:
                     out.append(pd.DataFrame({
-                        id_col: new[id_col].to_numpy("int64")[lo + ri],
-                        "dup_of": old[id_col].to_numpy("int64")[cj],
+                        id_col: new_g[id_col].to_numpy("int64")[lo + ri],
+                        "dup_of": old_g[id_col].to_numpy("int64")[cj],
                         "est_matches": m[ri, cj].astype("int64")}))
         return pd.concat(out, ignore_index=True) if out else empty.copy()
 
-    cands = store.union(new_rows).groupby("bucket").map_groups(
-        match, batch_format="pandas")
+    cols = ["band_key", id_col, "minhash_b"]
+    cands = _cogroup(store, cols, {}, new_rows, cols, {}, match)
     return argmax_per_key(cands, key=id_col,
                           order_cols=["est_matches", "dup_of"],
                           ascending=[False, True],

@@ -1445,10 +1445,7 @@ def _scc_shuffle(edges: "ray.data.Dataset", src: str, dst: str,
 
     if not out_parts:
         return ray.data.from_arrow(empty)
-    res = out_parts[0]
-    for p in out_parts[1:]:
-        res = res.union(p)
-    return res
+    return out_parts[0].union(*out_parts[1:])
 
 
 def label_propagation(edges: "ray.data.Dataset", src: str = "src",

@@ -88,21 +88,36 @@ def write_manifest(out_dir: str, bucket: int, fingerprint: str) -> dict:
         "files": [os.path.basename(f) for f in files],
     }
     os.makedirs(os.path.join(out_dir, "_manifests"), exist_ok=True)
-    tmp = manifest_path(out_dir, bucket) + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(m, fh)
-    os.replace(tmp, manifest_path(out_dir, bucket))  # atomic publish
+    write_json_atomic(manifest_path(out_dir, bucket), m)
     return m
+
+
+def write_json_atomic(path: str, obj: dict) -> None:
+    """Publish `obj` as JSON at `path` via tmp + `os.replace`: a crash
+    mid-write leaves the old file or none, never a torn one."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        json.dump(obj, fh)
+    os.replace(tmp, path)
+
+
+def read_json(path: str) -> dict | None:
+    """The JSON object at `path`, or None when it is missing or unreadable
+    (a torn manifest counts as no manifest: its unit is redone)."""
+    try:
+        with open(path) as fh:
+            m = json.load(fh)
+    except (OSError, json.JSONDecodeError):
+        return None
+    return m if isinstance(m, dict) else None
 
 
 def completed_buckets(out_dir: str, fingerprint: str) -> set[int]:
     """Buckets whose manifest validates against the current input."""
     done = set()
     for f in glob.glob(os.path.join(out_dir, "_manifests", "bucket-*.json")):
-        try:
-            with open(f) as fh:
-                m = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+        m = read_json(f)
+        if m is None:
             continue
         if (
             m.get("engine_version") == ENGINE_VERSION

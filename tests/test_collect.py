@@ -74,3 +74,18 @@ def test_collect_merges_divergent_clusters():
     merged = collect_model_runs(run_a, run_b).to_pandas().set_index("doc_key")
     # d1 has a 2-mention "hash join" cluster; B splits it → merge re-unifies
     assert len(merged.loc["d1", "merged_clusters"]) >= 1
+
+
+def test_collect_skips_doc_failed_in_one_run_only():
+    run_a = _run_with_poison()
+
+    def fail_d1(t: pa.Table) -> pa.Table:
+        flags = [k == "d1" or bool(f) for k, f in zip(
+            t.column("doc_key").to_pylist(),
+            t.column("_failed_prediction").to_pylist())]
+        i = t.column_names.index("_failed_prediction")
+        return t.set_column(i, "_failed_prediction", pa.array(flags))
+
+    run_b = _run_with_poison().map_batches(fail_d1, batch_format="pyarrow")
+    merged = collect_model_runs(run_a, run_b).to_pandas()
+    assert set(merged["doc_key"]) == {"d2"}

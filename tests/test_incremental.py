@@ -57,6 +57,30 @@ def test_incremental_append_only_recomputes_new_shards(tmp_path):
     pd.testing.assert_frame_equal(a, b)
 
 
+def test_incremental_rebuilds_shard_with_torn_manifest(tmp_path):
+    """A shard manifest cut short mid-write counts as no manifest: the
+    re-run rebuilds that shard only, instead of failing to parse it."""
+    corpus = str(tmp_path / "corpus")
+    out = str(tmp_path / "kb")
+    write_corpus(corpus, n_files=60, seed=3, n_shards=3)
+    build_kg_incremental(corpus, out, concurrency=1, batch_size=32)
+    before = _read_triples(out)
+
+    mpath = os.path.join(out, "_shard_manifests", "part-00001.json")
+    with open(mpath) as fh:
+        text = fh.read()
+    with open(mpath, "w") as fh:
+        fh.write(text[: len(text) // 2])
+
+    r = build_kg_incremental(corpus, out, concurrency=1, batch_size=32)
+    assert r["written_shards"] == ["part-00001"]
+    assert r["skipped_shards"] == ["part-00000", "part-00002"]
+    import pandas as pd
+
+    pd.testing.assert_frame_equal(_read_triples(out), before)
+    assert not glob.glob(os.path.join(out, "_shard_manifests", "*.tmp"))
+
+
 def test_neardup_store_build_and_match(tmp_path):
     import numpy as np
     import pandas as pd

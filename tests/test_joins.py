@@ -6,7 +6,8 @@ import pytest
 
 import ray.data
 
-from dygiepp_ray.joins import broadcast_lookup, hash_join, zip_join_assert
+from dygiepp_ray.joins import (asof_join, broadcast_lookup, hash_join,
+                               interval_join, skew_join, zip_join_assert)
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +31,7 @@ def test_hash_join_inner(tables):
     want = left.merge(right, on="k", how="inner")
     got_s = got.sort_values(["k", "lv"]).reset_index(drop=True)[["k", "lv", "rv"]]
     want_s = want.sort_values(["k", "lv"]).reset_index(drop=True)[["k", "lv", "rv"]]
-    pd.testing.assert_frame_equal(got_s, want_s, check_dtype=False)
+    pd.testing.assert_frame_equal(got_s, want_s)
 
 
 def test_hash_join_left(tables):
@@ -99,6 +100,63 @@ def test_zip_join_assert_raises_on_dup():
     b = ray.data.from_items([{"doc_key": "d1", "y": 1}, {"doc_key": "d1", "y": 2}])
     with pytest.raises(Exception):
         zip_join_assert(a, b, "doc_key", ["y"]).to_pandas()
+
+
+def test_zip_join_assert_keeps_int_dtypes():
+    a = pd.DataFrame({"k": np.arange(20), "x": np.arange(20) * 3})
+    b = pd.DataFrame({"k": np.arange(20)[::-1].copy(), "y": np.arange(20)})
+    got = zip_join_assert(ray.data.from_pandas(a), ray.data.from_pandas(b),
+                          "k", ["y"]).to_pandas()
+    assert {c: str(got[c].dtype) for c in ("x", "y")} == {"x": "int64", "y": "int64"}
+    pd.testing.assert_frame_equal(
+        got.sort_values("k").reset_index(drop=True)[["k", "x", "y"]],
+        a.merge(b, on="k").sort_values("k").reset_index(drop=True))
+
+
+@pytest.mark.parametrize("join", ["hash", "asof", "interval", "skew"])
+def test_per_bucket_frame_keeps_int_and_bool_dtypes(join):
+    """Each side's int64/bool columns reach the per-bucket frame with their
+    own dtypes, although the other side is padded with nulls for them."""
+
+    def _dtype_rows(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"col": list(df.columns),
+                             "dtype": [str(t) for t in df.dtypes]})
+
+    n = 200
+    left = pd.DataFrame({"k": np.arange(n) % 10, "lts": np.arange(n) * 10 + 5,
+                         "li": np.arange(n), "lb": np.arange(n) % 3 == 0})
+    right = pd.DataFrame({"k": np.arange(10), "rts": np.zeros(10, np.int64),
+                          "rend": np.full(10, 2000), "ri": np.arange(10) * 7,
+                          "rb": np.arange(10) % 2 == 0})
+    # nine of the ten right blocks come out of the pandas filter EMPTY: empty
+    # blocks skip every UDF and reach the shuffle as pandas blocks, which
+    # makes its merge run in pandas
+    filler = pd.concat([right.assign(k=right["k"] + 1000)] * 9, ignore_index=True)
+    lds = ray.data.from_pandas(left)
+    rds = ray.data.from_pandas(pd.concat([right, filler], ignore_index=True)) \
+        .repartition(10).map_batches(lambda df: df[df["k"] < 1000],
+                                     batch_format="pandas")
+    if join == "hash":
+        seen = hash_join(lds, rds, "k", n_buckets=4, left_cols=["li", "lb"],
+                         right_cols=["ri", "rb"], bucket_post=_dtype_rows)
+    elif join == "interval":
+        seen = interval_join(lds, rds, "k", "lts", "rts", "rend", ["li", "lb"],
+                             ["ri", "rb"], bucket_width=500, n_buckets=4,
+                             post_filter=_dtype_rows)
+    elif join == "asof":
+        seen = asof_join(lds, rds, "k", "lts", "rts", ["li", "lb"],
+                         ["ri", "rb"], n_buckets=4).map_batches(
+            _dtype_rows, batch_format="pandas")
+    else:
+        seen = skew_join(lds.select_columns(["k", "li", "lb"]),
+                         rds.select_columns(["k", "ri", "rb"]), "k",
+                         n_buckets=4, hot_keys=[0]).map_batches(
+            _dtype_rows, batch_format="pandas")
+    got = seen.to_pandas().drop_duplicates()
+    got = got[got["col"].isin(["li", "lb", "ri", "rb"])]
+    assert dict(zip(got["col"], got["dtype"])) == {
+        "li": "int64", "lb": "bool", "ri": "int64", "rb": "bool"}
+    assert len(got) == 4  # one dtype per column in every bucket
 
 
 def test_skew_join_matches_hash_join():
