@@ -151,52 +151,56 @@ def relation_matching(gold_rows: list[dict], pred_rows: list[dict], metric: str 
     return matched
 
 
+def doc_match_counts(gold: "ray.data.Dataset", pred: "ray.data.Dataset",
+                     keys: list[str], match_doc, n_buckets: int = 64) -> dict:
+    """Corpus totals of per-document match counters of gold vs predicted
+    (doc_id, arg0, arg1, rel) rows: {n_gold, n_pred, *keys}.
+
+    ONE `joins._cogroup` over coarse doc_id buckets (`n_buckets` groups, not
+    one Ray group per document, which is millions of tiny frames at corpus
+    scale). Inside each bucket, `match_doc(gs, ps) -> {key: count}` runs once
+    per doc_id on that doc's gold and predicted record lists, each sorted by
+    (arg0, arg1, rel) so the greedy matcher sees a deterministic order
+    regardless of block arrival order (greedy outcomes are order-dependent
+    when fwd/rev matches overlap). Counters are summed partial+final."""
+    from ..joins import _bucketed, _cogroup
+
+    cols = ["doc_id", "arg0", "arg1", "rel"]
+    order = ["arg0", "arg1", "rel"]
+
+    def records(df: pd.DataFrame | None) -> list[dict]:
+        return [] if df is None else df.sort_values(order).to_dict("records")
+
+    def per_bucket(gdf: pd.DataFrame, pdf: pd.DataFrame) -> pd.DataFrame:
+        acc = dict.fromkeys(["n_gold", "n_pred", *keys], 0)
+        golds = dict(tuple(gdf.groupby("doc_id", sort=False)))
+        preds = dict(tuple(pdf.groupby("doc_id", sort=False)))
+        for doc in golds.keys() | preds.keys():
+            gs, ps = records(golds.get(doc)), records(preds.get(doc))
+            acc["n_gold"] += len(gs)
+            acc["n_pred"] += len(ps)
+            for k, v in match_doc(gs, ps).items():
+                acc[k] += v
+        return pd.DataFrame([acc])
+
+    counts = _cogroup(_bucketed(gold, cols, "doc_id", n_buckets), cols, {},
+                      _bucketed(pred, cols, "doc_id", n_buckets), cols, {},
+                      per_bucket)
+    sums = counts.aggregate(*[Sum(k, alias_name=k)
+                              for k in ["n_gold", "n_pred", *keys]])
+    return {k: (v or 0) for k, v in sums.items()}
+
+
 def triple_prf(gold: "ray.data.Dataset", pred: "ray.data.Dataset",
                metric: str = "exact", n_buckets: int = 64) -> dict:
     """Corpus-level P/R/F1 of predicted triples vs gold triples, joined per
-    doc_id, matched with J3 semantics, counters partial+final.
-
-    doc_ids are coarse-bucketed (ONE shuffle, `n_buckets` groups) and the
-    per-doc matching runs inside a vectorized pandas groupby — not one Ray
-    group per document, which is millions of tiny frames at corpus scale."""
-    from ..joins import _bucket_array
-
-    def stamp(side: str):
-        def fn(t: pa.Table) -> pa.Table:
-            t = t.append_column("_bucket", _bucket_array(t.column("doc_id"), n_buckets))
-            return t.append_column("_side", pa.array([side] * t.num_rows))
-
-        return fn
-
-    cols = ["doc_id", "arg0", "arg1", "rel"]
-    g = gold.select_columns(cols).map_batches(stamp("g"), batch_format="pyarrow")
-    p = pred.select_columns(cols).map_batches(stamp("p"), batch_format="pyarrow")
-
-    def count_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        n_gold = n_pred = n_matched = 0
-        for _doc, sub in df.groupby("doc_id", sort=False):
-            # sort each side so the greedy matcher sees a deterministic
-            # order regardless of block arrival order (matters when fwd/rev
-            # matches overlap — greedy outcomes are order-dependent)
-            order = ["arg0", "arg1", "rel"]
-            gs = sub[sub["_side"] == "g"].sort_values(order).to_dict("records")
-            ps = sub[sub["_side"] == "p"].sort_values(order).to_dict("records")
-            n_gold += len(gs)
-            n_pred += len(ps)
-            n_matched += relation_matching(gs, ps, metric=metric)
-        return pd.DataFrame({"n_gold": [n_gold], "n_pred": [n_pred],
-                             "n_matched": [n_matched]})
-
-    counts = (
-        g.union(p)
-        .groupby("_bucket")
-        .map_groups(count_bucket, batch_format="pandas")
-        .aggregate(Sum("n_gold", alias_name="n_gold"), Sum("n_pred", alias_name="n_pred"),
-                   Sum("n_matched", alias_name="n_matched"))
-    )
-    n_gold = counts["n_gold"] or 0
-    n_pred = counts["n_pred"] or 0
-    n_matched = counts["n_matched"] or 0
+    doc_id, matched with J3 semantics, counters partial+final
+    (`doc_match_counts`)."""
+    counts = doc_match_counts(
+        gold, pred, ["n_matched"],
+        lambda gs, ps: {"n_matched": relation_matching(gs, ps, metric=metric)},
+        n_buckets)
+    n_gold, n_pred, n_matched = (counts[k] for k in ("n_gold", "n_pred", "n_matched"))
     prec, rec, f1 = compute_f1(n_pred, n_gold, n_matched)
     return {"precision": prec, "recall": rec, "f1": f1,
             "n_gold": n_gold, "n_pred": n_pred, "n_matched": n_matched}

@@ -22,11 +22,14 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..aggregates import grouped_count
+from ..functions.arrow import pylist
 from ..stages.kernel import ExtractionKernel
 from ..stages.triples import FlattenTriples
 from ..state.manifest import (
+    ENGINE_VERSION,
     assign_buckets,
     completed_buckets,
+    file_fingerprint,
     input_fingerprint,
     read_json,
     write_json_atomic,
@@ -106,37 +109,37 @@ def _arrow_fast_sentences(texts: list[str]) -> list:
         pc.and_(pc.string_is_ascii(arr), pc.equal(arr, pc.ascii_lower(arr))),
         pc.and_(pc.invert(pc.match_substring(arr, "\n\n")),
                 pc.match_substring_regex(arr, _FAST_TEXT_RE)))
-    ok_np = ok.to_numpy(zero_copy_only=False)
-    idx = np.flatnonzero(ok_np)
-    if idx.size == 0:
+    idx_np = np.flatnonzero(ok.to_numpy(zero_copy_only=False))
+    if idx_np.size == 0:
         return out
     # trim first: ascii_split_whitespace emits empty leading/trailing
     # tokens for untrimmed input (internal runs collapse correctly)
-    trimmed = pc.utf8_trim_whitespace(arr.take(pa.array(idx)))
-    empty_np = pc.equal(trimmed, "").to_numpy(zero_copy_only=False)
+    trimmed = pc.utf8_trim_whitespace(arr.take(pa.array(idx_np)))
     toklists = pc.ascii_split_whitespace(trimmed)
-    offsets = toklists.offsets.to_numpy()
+    offsets_np = toklists.offsets.to_numpy()
     flat = toklists.values
-    # one bulk C-loop conversion for the whole batch's tokens (the regex
-    # path allocates the same strings one findall at a time)
-    values = flat.to_pylist()
-    term = pc.is_in(flat, value_set=_TERMINALS).to_numpy(zero_copy_only=False)
-    term_idx = np.flatnonzero(term)
-    lo = np.searchsorted(term_idx, offsets[:-1])
-    hi = np.searchsorted(term_idx, offsets[1:])
+    # the whole batch's tokens become Python strs in one bulk leaf
+    # conversion; everything the per-doc loop indexes is a Python list,
+    # so it never touches a NumPy scalar
+    values = pylist(flat)
+    term_np = np.flatnonzero(
+        pc.is_in(flat, value_set=_TERMINALS).to_numpy(zero_copy_only=False))
+    lo = np.searchsorted(term_np, offsets_np[:-1]).tolist()
+    hi = np.searchsorted(term_np, offsets_np[1:]).tolist()
+    idx, offsets, term_idx = idx_np.tolist(), offsets_np.tolist(), term_np.tolist()
+    empty = pc.equal(trimmed, "").to_numpy(zero_copy_only=False).tolist()
     for j, doc_i in enumerate(idx):
-        if empty_np[j]:
-            out[int(doc_i)] = []
+        if empty[j]:
+            out[doc_i] = []
             continue
-        a, b = int(offsets[j]), int(offsets[j + 1])
+        start, b = offsets[j], offsets[j + 1]
         sents = []
-        start = a
         for t in term_idx[lo[j]:hi[j]]:
             sents.append(values[start:t + 1])
             start = t + 1
         if start < b:
             sents.append(values[start:b])
-        out[int(doc_i)] = sents
+        out[doc_i] = sents
     return out
 
 
@@ -157,13 +160,13 @@ def _prep_docs(batch: pa.Table):
     from ..stages.prep import extract_text, split_document
 
     word_norm = {"/.": ".", "/?": "?"}.get  # word_normalize, inlined
-    contents = batch.column("content").to_pylist()
+    contents = pylist(batch.column("content"))
     texts = ["" if c is None else extract_text(c, lg)
-             for c, lg in zip(contents, batch.column("lang").to_pylist())]
+             for c, lg in zip(contents, pylist(batch.column("lang")))]
     fast_sents = _arrow_fast_sentences(texts)
     for i, (repo, path, commit) in enumerate(zip(
-        batch.column("repo").to_pylist(), batch.column("path").to_pylist(),
-        batch.column("commit").to_pylist(),
+        pylist(batch.column("repo")), pylist(batch.column("path")),
+        pylist(batch.column("commit")),
     )):
         sents = fast_sents[i]
         pre_lowered = sents is not None
@@ -246,7 +249,7 @@ class ExtractToTriples:
     def __call__(self, batch):
         out = self.flatten.empty_out()
         has_bucket = "bucket" in batch.column_names
-        buckets = batch.column("bucket").to_pylist() if has_bucket else None
+        buckets = pylist(batch.column("bucket")) if has_bucket else None
         for i, key, sents, pre_lowered, sha in _prep_docs(batch):
             rel_rows, clusters, _failed = self.kernel.decode_triples_document(
                 sents, pre_lowered=pre_lowered)
@@ -424,10 +427,11 @@ def build_kg_incremental(input_dir: str, out_dir: str,
     no cross-doc state — so shard-level incrementality is exact: each input
     parquet shard's triples land in their own `out_dir/shard=<stem>/`
     partition (stem = shard filename, a stable key under appends, unlike a
-    position index) with a manifest recording the shard's (name, size)
-    fingerprint. A re-run after appending shards processes ONLY the
-    new/changed shards; untouched shards are never re-read. Count/graph
-    tables re-derive from the (much smaller) triple table downstream."""
+    position index) with a manifest recording the shard's
+    `file_fingerprint` (name, size and Parquet footer), taken before the
+    read. A re-run after appending shards processes ONLY the new/changed
+    shards; untouched shards are never re-read. Count/graph tables
+    re-derive from the (much smaller) triple table downstream."""
     import glob as _glob
     import os as _os
     import shutil as _shutil
@@ -439,19 +443,17 @@ def build_kg_incremental(input_dir: str, out_dir: str,
     def stem_of(f: str) -> str:
         return _os.path.splitext(_os.path.basename(f))[0]
 
-    def shard_fp(f: str) -> str:
-        return f"{_os.path.basename(f)}:{_os.path.getsize(f)}"
-
     pending, skipped = [], []
     for f in shards:
         stem = stem_of(f)
         mpath = _os.path.join(mdir, f"{stem}.json")
         rec = read_json(mpath)
-        if rec is not None and rec.get("fingerprint") == shard_fp(f):
+        fp = file_fingerprint(f)
+        if rec is not None and rec.get("fingerprint") == fp:
             skipped.append(stem)
             continue
-        pending.append((stem, f))
-    for stem, _f in pending:
+        pending.append((stem, f, fp))
+    for stem, _f, _fp in pending:
         part = _os.path.join(out_dir, f"shard={stem}")
         if _os.path.isdir(part):
             _shutil.rmtree(part)
@@ -464,9 +466,9 @@ def build_kg_incremental(input_dir: str, out_dir: str,
     # one lazy read per pending shard, stamped with its shard ordinal
     # through the fused stage's int passthrough column, then ONE union
     # pipeline; ordinals map back to stems after extraction
-    stems = [stem for stem, _f in pending]
+    stems = [stem for stem, _f, _fp in pending]
     parts = []
-    for i, (_stem, f) in enumerate(pending):
+    for i, (_stem, f, _fp) in enumerate(pending):
         ds = ray.data.read_parquet(f).map_batches(
             lambda t, _i=i: t.append_column(
                 "bucket", pa.array([_i] * t.num_rows, pa.int32())),
@@ -483,9 +485,9 @@ def build_kg_incremental(input_dir: str, out_dir: str,
         ord_to_stem, batch_format="pyarrow")
     triples.write_parquet(out_dir, partition_cols=["shard"])
     written = []
-    for stem, f in pending:
+    for stem, _f, fp in pending:
         write_json_atomic(_os.path.join(mdir, f"{stem}.json"),
-                          {"fingerprint": shard_fp(f), "engine": 1})
+                          {"fingerprint": fp, "engine": ENGINE_VERSION})
         written.append(stem)
     return {"written_shards": sorted(written), "skipped_shards": sorted(skipped)}
 

@@ -147,71 +147,33 @@ def eval_sweep(gold: "ray.data.Dataset",
 
     The per-cell work streams (partial counters inside map_batches /
     map_groups); only the tiny stats rows reach the driver."""
-    from ray.data.aggregate import Sum
+    from .evaluate import compute_f1, doc_match_counts, relation_matching
 
-    from ..joins import _bucket_array
-    from .evaluate import compute_f1, relation_matching
+    keys = [f"matched_{m}_{int(c)}" for m in metrics for c in collapse_modes]
 
-    def _grid_counts(g: "ray.data.Dataset", p: "ray.data.Dataset") -> dict:
-        """ONE shuffle for the whole metric × collapse grid: doc_ids
-        coarse-bucketed, per-bucket pandas groupby over doc_id, the greedy
-        matcher run once per (metric, collapse) inside each doc group (all
-        cells share the sorted row lists, and the expensive upstream
-        gold/pred pipelines execute ONCE per model instead of once per
-        collapse mode). Returns {n_gold, n_pred, matched_<metric>_<c>...}."""
-
-        def stamp(side: str):
-            def fn(t: pa.Table) -> pa.Table:
-                t = t.append_column("_bucket", _bucket_array(t.column("doc_id"), 64))
-                return t.append_column("_side",
-                                       pa.array([side] * t.num_rows, pa.string()))
-
-            return fn
-
-        def count_bucket(df: pd.DataFrame) -> pd.DataFrame:
-            acc = {"n_gold": 0, "n_pred": 0}
+    def match_doc(gs: list[dict], ps: list[dict]) -> dict:
+        """The greedy matcher once per (metric, collapse) cell on one doc:
+        ONE shuffle serves the whole grid, and the expensive upstream
+        gold/pred pipelines execute once per model instead of once per
+        collapse mode."""
+        counts = {}
+        for collapse in collapse_modes:
+            gv, pv = gs, ps
+            if collapse:
+                # blank the label (eval_metric.py's collapse mode); re-sort
+                # so the greedy order matches the shaped two-pass pipeline
+                gv, pv = (sorted(({**r, "rel": ""} for r in rows_),
+                                 key=lambda r: (r["arg0"], r["arg1"]))
+                          for rows_ in (gs, ps))
             for m in metrics:
-                for collapse in collapse_modes:
-                    acc[f"matched_{m}_{int(collapse)}"] = 0
-            for _doc, sub in df.groupby("doc_id", sort=False):
-                order = ["arg0", "arg1", "rel"]
-                gs = sub[sub["_side"] == "g"].sort_values(order).to_dict("records")
-                ps = sub[sub["_side"] == "p"].sort_values(order).to_dict("records")
-                acc["n_gold"] += len(gs)
-                acc["n_pred"] += len(ps)
-                variants = {}
-                for collapse in collapse_modes:
-                    if collapse:
-                        # blank the label (eval_metric.py's collapse mode);
-                        # re-sort so the greedy order matches the shaped
-                        # two-pass pipeline exactly
-                        blank = lambda rows_: sorted(
-                            ({**r, "rel": ""} for r in rows_),
-                            key=lambda r: (r["arg0"], r["arg1"]))
-                        variants[collapse] = (blank(gs), blank(ps))
-                    else:
-                        variants[collapse] = (gs, ps)
-                for m in metrics:
-                    for collapse in collapse_modes:
-                        gv, pv = variants[collapse]
-                        acc[f"matched_{m}_{int(collapse)}"] += relation_matching(
-                            gv, pv, metric=m, threshold=jaccard_thresh)
-            return pd.DataFrame([acc])
-
-        u = (
-            g.map_batches(stamp("g"), batch_format="pyarrow")
-            .union(p.map_batches(stamp("p"), batch_format="pyarrow"))
-            .groupby("_bucket")
-            .map_groups(count_bucket, batch_format="pandas")
-        )
-        keys = ["n_gold", "n_pred"] + [
-            f"matched_{m}_{int(c)}" for m in metrics for c in collapse_modes]
-        sums = u.aggregate(*[Sum(k, alias_name=k) for k in keys])
-        return {k: (sums[k] or 0) for k in keys}
+                counts[f"matched_{m}_{int(collapse)}"] = relation_matching(
+                    gv, pv, metric=m, threshold=jaccard_thresh)
+        return counts
 
     rows = []
     for name, pred in models.items():
-        counts = _grid_counts(_shape(gold, False), _shape(pred, False))
+        counts = doc_match_counts(_shape(gold, False), _shape(pred, False),
+                                  keys, match_doc)
         for collapse in collapse_modes:
             for metric in metrics:
                 prec, rec, f1 = compute_f1(

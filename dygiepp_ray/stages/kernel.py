@@ -33,6 +33,7 @@ import math
 import numpy as np
 import pyarrow as pa
 
+from ..functions.arrow import pylist
 from ..functions.strings import canonicalize, stable_hash64
 from ..schema import (
     ARG_BEAM_MAX,
@@ -1053,7 +1054,7 @@ class ExtractionKernel:
             return [], [], True
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        sentences_col = batch.column("sentences").to_pylist()
+        sentences_col = pylist(batch.column("sentences"))
         pred_ner_col, pred_rel_col, pred_evt_col, clusters_col = [], [], [], []
         failed_col = []
         for sentences in sentences_col:

@@ -25,6 +25,7 @@ import re
 
 import pyarrow as pa
 
+from ..functions.arrow import pylist
 from ..functions.strings import sha256_hex
 from ..schema import MAX_TOKENS_PER_DOC
 
@@ -50,7 +51,7 @@ def extract_text(content: str, lang: str) -> str:
 
 def stamp_sha256(batch: pa.Table) -> pa.Table:
     """Per-row `content` sha256 — the end-to-end invariant column."""
-    shas = [sha256_hex(c) for c in batch.column("content").to_pylist()]
+    shas = [sha256_hex(c) for c in pylist(batch.column("content"))]
     return batch.append_column("content_sha256", pa.array(shas, pa.string()))
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
+from ..functions.arrow import pylist
 from ..functions.strings import canonicalize, contains_reference
 from ..schema import TRIPLE_SCHEMA
 from .kernel import flat_predictions
@@ -124,18 +125,18 @@ class FlattenTriples:
         return pa.table(cols)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        doc_keys = batch.column("doc_key").to_pylist()
-        sentences_col = batch.column("sentences").to_pylist()
-        shas = batch.column("content_sha256").to_pylist()
-        rels_col = batch.column("predicted_relations").to_pylist()
+        doc_keys = pylist(batch.column("doc_key"))
+        sentences_col = pylist(batch.column("sentences"))
+        shas = pylist(batch.column("content_sha256"))
+        rels_col = pylist(batch.column("predicted_relations"))
         clusters_col = (
-            batch.column("predicted_clusters").to_pylist()
+            pylist(batch.column("predicted_clusters"))
             if self.use_coref and "predicted_clusters" in batch.column_names
             else [None] * len(doc_keys)
         )
 
         has_bucket = "bucket" in batch.column_names
-        buckets = batch.column("bucket").to_pylist() if has_bucket else [None] * len(doc_keys)
+        buckets = pylist(batch.column("bucket")) if has_bucket else [None] * len(doc_keys)
 
         out = self.empty_out()
         for doc_key, sentences, sha, doc_rels, clusters, bucket in zip(
@@ -150,10 +151,10 @@ class FlattenTriples:
 def flatten_ner_mentions(batch: pa.Table) -> pa.Table:
     """documents → one row per predicted entity mention (for counting /
     linking): (doc_id, mention, mention_norm, label, conf, content_sha256)."""
-    doc_keys = batch.column("doc_key").to_pylist()
-    sentences_col = batch.column("sentences").to_pylist()
-    shas = batch.column("content_sha256").to_pylist()
-    ner_col = batch.column("predicted_ner").to_pylist()
+    doc_keys = pylist(batch.column("doc_key"))
+    sentences_col = pylist(batch.column("sentences"))
+    shas = pylist(batch.column("content_sha256"))
+    ner_col = pylist(batch.column("predicted_ner"))
     out = {"doc_id": [], "mention": [], "mention_norm": [], "label": [], "conf": [],
            "content_sha256": []}
     for doc_key, sentences, sha, doc_ner in zip(doc_keys, sentences_col, shas, ner_col):

@@ -11,7 +11,7 @@ The reference's only resume unit is the per-shard output file
   count and a sha256 roll-up (XOR of per-row content_sha256) — the lineage
   record the north rule requires;
 - on resume, buckets whose manifest validates against the current input
-  fingerprint are skipped by filtering them out right after the read (a cheap
+  fingerprint (`file_fingerprint` of every input file) are skipped by filtering them out right after the read (a cheap
   hash on two string columns — no kernel compute, no shuffle).
 
 Manifest reads/writes are tiny driver-side JSON ops; all data movement stays
@@ -30,7 +30,7 @@ import pyarrow.parquet as pq
 
 from ..functions.strings import stable_hash64
 
-ENGINE_VERSION = 1
+ENGINE_VERSION = 2
 
 
 def bucket_of(repo: str, path: str, commit: str, n_buckets: int) -> int:
@@ -54,11 +54,31 @@ def assign_buckets(n_buckets: int):
     return fn
 
 
+def file_fingerprint(path: str) -> str:
+    """Cheap, deterministic fingerprint of one Parquet input file: its name
+    and byte size plus its footer, read with `pq.read_metadata` — the row
+    count and, per column chunk, the compressed and uncompressed sizes and
+    the statistics (min, max, null and value counts). A same-size rewrite
+    is noticed when any of these change; a rewrite that leaves the footer
+    byte-identical (e.g. a value swapped for one of equal length strictly
+    inside its column chunk's min/max) is still not detected."""
+    meta = pq.read_metadata(path)
+    parts = [os.path.basename(path), str(os.path.getsize(path)), str(meta.num_rows)]
+    for g in range(meta.num_row_groups):
+        group = meta.row_group(g)
+        for c in range(group.num_columns):
+            chunk = group.column(c)
+            stats = chunk.statistics
+            parts.append(f"{chunk.total_compressed_size}/{chunk.total_uncompressed_size}/"
+                         f"{None if stats is None else stats.to_dict()}")
+    return format(stable_hash64(";".join(parts)), "016x")
+
+
 def input_fingerprint(input_dir: str) -> str:
-    """Cheap, deterministic fingerprint of the input: sorted (name, size)."""
+    """Fingerprint of the input: `file_fingerprint` of each Parquet file,
+    in name order."""
     files = sorted(glob.glob(os.path.join(input_dir, "*.parquet")))
-    payload = ";".join(f"{os.path.basename(f)}:{os.path.getsize(f)}" for f in files)
-    return format(stable_hash64(payload), "016x")
+    return format(stable_hash64(";".join(map(file_fingerprint, files))), "016x")
 
 
 def manifest_path(out_dir: str, bucket: int) -> str:
