@@ -429,7 +429,7 @@ def build_kg_incremental(input_dir: str, out_dir: str,
     partition (stem = shard filename, a stable key under appends, unlike a
     position index) with a manifest recording the shard's
     `file_fingerprint` (name, size and Parquet footer), taken before the
-    read. A re-run after appending shards processes ONLY the new/changed
+    read, and the `ENGINE_VERSION`. A re-run after appending shards processes ONLY the new/changed
     shards; untouched shards are never re-read. Count/graph tables
     re-derive from the (much smaller) triple table downstream."""
     import glob as _glob
@@ -449,7 +449,8 @@ def build_kg_incremental(input_dir: str, out_dir: str,
         mpath = _os.path.join(mdir, f"{stem}.json")
         rec = read_json(mpath)
         fp = file_fingerprint(f)
-        if rec is not None and rec.get("fingerprint") == fp:
+        if (rec is not None and rec.get("fingerprint") == fp
+                and rec.get("engine") == ENGINE_VERSION):
             skipped.append(stem)
             continue
         pending.append((stem, f, fp))

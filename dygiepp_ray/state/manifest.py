@@ -11,8 +11,9 @@ The reference's only resume unit is the per-shard output file
   count and a sha256 roll-up (XOR of per-row content_sha256) — the lineage
   record the north rule requires;
 - on resume, buckets whose manifest validates against the current input
-  fingerprint (`file_fingerprint` of every input file) are skipped by filtering them out right after the read (a cheap
-  hash on two string columns — no kernel compute, no shuffle).
+  fingerprint (`file_fingerprint` of every input file) are skipped by
+  filtering them out right after the read (a cheap hash on two string
+  columns — no kernel compute, no shuffle).
 
 Manifest reads/writes are tiny driver-side JSON ops; all data movement stays
 in the Dataset pipeline.

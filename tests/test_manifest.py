@@ -1,8 +1,10 @@
 """The manifest's sha256 roll-up against its integer definition, and resume
-after an input shard is rewritten at the same byte size."""
+after an input shard is rewritten at the same byte size or its manifest
+comes from another engine version."""
 
 import glob
 import hashlib
+import json
 import os
 import random
 
@@ -13,7 +15,7 @@ import pytest
 
 from dygiepp_ray.corpus import write_corpus
 from dygiepp_ray.pipelines.kg import build_kg, build_kg_incremental
-from dygiepp_ray.state.manifest import file_fingerprint, sha_rollup
+from dygiepp_ray.state.manifest import ENGINE_VERSION, file_fingerprint, sha_rollup
 
 
 def _int_xor(shas: list[str]) -> str:
@@ -89,3 +91,20 @@ def test_incremental_rebuilds_same_size_rewritten_shard(tmp_path):
     build_kg_incremental(corpus, clean, concurrency=1, batch_size=32)
     pd.testing.assert_frame_equal(_triples(out, "shard"),
                                   _triples(clean, "shard"))
+
+
+def test_incremental_rebuilds_shard_of_older_engine(tmp_path):
+    """A shard manifest written by another engine version is stale."""
+    corpus, out = str(tmp_path / "corpus"), str(tmp_path / "kb")
+    write_corpus(corpus, n_files=40, seed=5, n_shards=2)
+    build_kg_incremental(corpus, out, concurrency=1, batch_size=32)
+    mpath = os.path.join(out, "_shard_manifests", "part-00000.json")
+    with open(mpath) as fh:
+        rec = json.load(fh)
+    rec["engine"] = ENGINE_VERSION - 1
+    with open(mpath, "w") as fh:
+        json.dump(rec, fh)
+
+    r = build_kg_incremental(corpus, out, concurrency=1, batch_size=32)
+    assert r["written_shards"] == ["part-00000"]
+    assert r["skipped_shards"] == ["part-00001"]
