@@ -49,10 +49,10 @@ from dygiepp_ray.stages.triples import flatten_ner_mentions
 
 
 def _kernel_conc() -> tuple[int, int]:
-    """Kernel-stage concurrency tracks the Ray session's CPU count, leaving
-    two CPUs for the read and write stages: the `(min, max)` size of an
-    `extract` actor pool, or, for `extract_triples`, the max is the bound
-    on concurrent extraction tasks."""
+    """Concurrency of the fused build (`build_kg` / `kg_triples` /
+    `extract_triples`): the max bounds concurrent extraction tasks at the
+    Ray session's CPU count less two, which leaves CPUs for the read and
+    write stages."""
     try:
         cpus = int(ray.cluster_resources().get("CPU", 4))
     except Exception:  # noqa: BLE001 — not initialised yet
@@ -291,8 +291,8 @@ def _docs_predicted(sf_dir: str) -> "ray.data.Dataset":
     docs = kgp.documents_dataset(corpus)
     lex = {**ENTITY_LEXICON, **DOC_LEXICON}
     trig = {**EVENT_TRIGGERS, **DOC_TRIGGERS}
-    return kgp.extract(docs, concurrency=_kernel_conc(),
-                       entity_lexicon=lex, relation_patterns=RELATION_PATTERNS,
+    return kgp.extract(docs, entity_lexicon=lex,
+                       relation_patterns=RELATION_PATTERNS,
                        event_triggers=trig)
 
 
@@ -2642,11 +2642,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ).unique("c_custkey")
         keys_ref = ray.put(keys)
         return _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]).map_batches(
-            BroadcastSetFilter,
-            fn_constructor_kwargs={"keys_ref": keys_ref, "column": "o_custkey",
-                                   "keep_if_member": True},
-            batch_format="pyarrow", concurrency=(1, 4),
-        )
+            BroadcastSetFilter(keys_ref, "o_custkey", keep_if_member=True),
+            batch_format="pyarrow")
 
     q["semi_join_orders"] = semi_join_orders
 
@@ -2877,8 +2874,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def q_langid(sf_dir: str):
         return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-            LangId, batch_format="pandas", concurrency=(1, 4)
-        )
+            LangId(), batch_format="pandas")
 
     q["lang_id"] = q_langid
 
@@ -2892,7 +2888,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         from dygiepp_ray.joins import hash_join
 
         pred = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-            LangId, batch_format="pandas", concurrency=(1, 4)).map_batches(
+            LangId(), batch_format="pandas").map_batches(
             lambda df: df[["doc_id", "lang_pred"]], batch_format="pandas")
         truth = _read(sf_dir, "documents", ["doc_id", "lang"])
 
@@ -4161,7 +4157,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         _write_oracle(sf_dir, "minhash_dups", lambda: _o.expected_minhash_pairs(sf_dir))
         return minhash_lsh_pairs(_read(sf_dir, "documents", ["doc_id", "text"]),
-                                 jaccard_threshold=0.8, concurrency=_kernel_conc())
+                                 jaccard_threshold=0.8)
 
     q["minhash_lsh_dups"] = q_minhash
 
@@ -4169,8 +4165,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         from dygiepp_ray import oracle as _o
 
         _write_oracle(sf_dir, "simhash_dups", lambda: _o.expected_simhash_pairs(sf_dir))
-        return simhash_near_dups(_read(sf_dir, "documents", ["doc_id", "text"]),
-                                 concurrency=_kernel_conc())
+        return simhash_near_dups(_read(sf_dir, "documents", ["doc_id", "text"]))
 
     q["simhash_dups"] = q_simhash
 
@@ -4309,7 +4304,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             lambda df: df[df["doc_id"] % 23 == 0], batch_format="pandas")
         train = docs.map_batches(
             lambda df: df[df["doc_id"] % 23 != 0], batch_format="pandas")
-        return decontaminate(train, ev, n=5, concurrency=(1, 4))
+        return decontaminate(train, ev, n=5)
 
     q["decontaminate_docs"] = q_decontaminate
 
@@ -4558,9 +4553,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         _write_oracle(sf_dir, "neardup_clusters",
                       lambda: _o.expected_neardup_clusters(sf_dir))
-        return neardup_clusters(
-            _read(sf_dir, "documents", ["doc_id", "text"]),
-            concurrency=_kernel_conc())
+        return neardup_clusters(_read(sf_dir, "documents", ["doc_id", "text"]))
 
     q["neardup_clusters"] = q_neardup_clusters
 
@@ -4623,9 +4616,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         _write_oracle(sf_dir, "curation_funnel",
                       lambda: _o.expected_curation(sf_dir))
-        return curate_corpus(
-            _read(sf_dir, "documents", ["doc_id", "text"]),
-            concurrency=_kernel_conc())
+        return curate_corpus(_read(sf_dir, "documents", ["doc_id", "text"]))
 
     q["curation_funnel"] = q_curation_funnel
 
@@ -5152,10 +5143,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         alias_ref = ray.put(build_alias_table(alias_entities))
         predicted = _docs_predicted(sf_dir)
         mentions = predicted.map_batches(flatten_ner_mentions, batch_format="pyarrow")
-        linked = mentions.map_batches(
-            EntityLinker, fn_constructor_kwargs=dict(alias_table_ref=alias_ref),
-            batch_format="pandas", concurrency=_kernel_conc(),
-        )
+        linked = mentions.map_batches(EntityLinker(alias_ref),
+                                      batch_format="pandas")
         return grouped_count(linked.select_columns(["entity_id"]), ["entity_id"], out_name="n")
 
     q["kg_entity_links"] = q_kg_linked
@@ -7024,14 +7013,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
                       lambda: _o.expected_uncollate_counts(
                           _oracle_docs_table(sf_dir), ENTITY_LEXICON))
         docs = kgp.documents_dataset(documents_as_corpus(sf_dir)).materialize()
-        direct = kgp.extract(docs, concurrency=(1, 2))
+        direct = kgp.extract(docs)
         n_direct_mentions = direct.map_batches(
             lambda t: pa.table({"n": [sum(len(s) for doc in
                                           t.column("predicted_ner").to_pylist()
                                           for s in doc)]}),
             batch_format="pyarrow",
         ).sum("n")
-        packed_pred = kgp.extract(collate(docs), concurrency=(1, 2))
+        packed_pred = kgp.extract(collate(docs))
         back = uncollate_predictions(packed_pred)
         n_back_mentions = back.map_batches(
             lambda df: pd.DataFrame({"n": [sum(len(s) for doc in df["predicted_ner"]
@@ -7121,9 +7110,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
                           {**ENTITY_LEXICON, **DOC_LEXICON}, DOC_LEXICON))
         corpus = documents_as_corpus(sf_dir, max_doc_id=200)
         docs = kgp.documents_dataset(corpus)
-        a = kgp.extract(docs, concurrency=(1, 2),
-                        entity_lexicon={**ENTITY_LEXICON, **DOC_LEXICON})
-        b = kgp.extract(docs, concurrency=(1, 2), entity_lexicon=DOC_LEXICON)
+        a = kgp.extract(docs, entity_lexicon={**ENTITY_LEXICON, **DOC_LEXICON})
+        b = kgp.extract(docs, entity_lexicon=DOC_LEXICON)
         from dygiepp_ray.joins import zip_join_assert
         from dygiepp_ray.stages.coref import merge_clusters
 
@@ -7266,8 +7254,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
                           _oracle_corpus_docs(sf_dir), EVENT_TRIGGERS, red_trig))
         corpus = ray.data.read_parquet(_synth_corpus_dir(sf_dir))
         docs = kgp.documents_dataset(corpus)
-        full = kgp.extract(docs, concurrency=_kernel_conc())
-        red = kgp.extract(docs, concurrency=_kernel_conc(), event_triggers=red_trig)
+        full = kgp.extract(docs)
+        red = kgp.extract(docs, event_triggers=red_trig)
         red_ren = red.select_columns(["doc_key", "predicted_events"]).map_batches(
             lambda t: t.rename_columns(["doc_key", "events_pred"]),
             batch_format="pyarrow",
@@ -7357,9 +7345,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
                           {**ENTITY_LEXICON, **DOC_LEXICON}, reduced_lex))
         corpus = documents_as_corpus(sf_dir, max_doc_id=200)
         docs = kgp.documents_dataset(corpus)
-        full = kgp.extract(docs, concurrency=_kernel_conc(),
-                           entity_lexicon={**ENTITY_LEXICON, **DOC_LEXICON})
-        red = kgp.extract(docs, concurrency=_kernel_conc(), entity_lexicon=reduced_lex)
+        full = kgp.extract(docs, entity_lexicon={**ENTITY_LEXICON, **DOC_LEXICON})
+        red = kgp.extract(docs, entity_lexicon=reduced_lex)
         red_ren = red.select_columns(["doc_key", "predicted_clusters"]).map_batches(
             lambda t: t.rename_columns(["doc_key", "clusters_pred"]),
             batch_format="pyarrow",
@@ -7398,8 +7385,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                           coref_prop=2))
         corpus = documents_as_corpus(sf_dir, max_doc_id=200)
         docs = kgp.documents_dataset(corpus)
-        pred = kgp.extract(docs, concurrency=_kernel_conc(),
-                           entity_lexicon=lex, coref_mode="antecedent",
+        pred = kgp.extract(docs, entity_lexicon=lex, coref_mode="antecedent",
                            coref_prop=2)
 
         def summarize(t):
@@ -7433,10 +7419,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         _write_oracle(sf_dir, "media_features",
                       lambda: _o.expected_media_features(32, feature_dim=16))
         media = ray.data.from_arrow(synth_media_table(32, seed=5))
-        feats = media.map_batches(
-            ImageDecoder, fn_constructor_kwargs=dict(feature_dim=16),
-            batch_format="pandas", batch_size=8, concurrency=(1, 2),
-        )
+        feats = media.map_batches(ImageDecoder(feature_dim=16),
+                                  batch_format="pandas", batch_size=8)
 
         def project(df: pd.DataFrame) -> pd.DataFrame:
             return pd.DataFrame(
@@ -7462,9 +7446,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         media = ray.data.from_arrow(synth_media_table(32, seed=5))
         videos = media.map_batches(
             lambda df: df[df["kind"] == "video"], batch_format="pandas")
-        out = videos.map_batches(
-            FrameSampler, fn_constructor_kwargs=dict(n_frames=4),
-            batch_format="pandas", batch_size=8, concurrency=(1, 2))
+        out = videos.map_batches(FrameSampler(n_frames=4),
+                                 batch_format="pandas", batch_size=8)
         return out.map_batches(
             lambda df: df.assign(
                 frame_offset_ms=df["frame_offset_ms"].astype("int64")),
@@ -7482,9 +7465,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         media = ray.data.from_arrow(synth_media_table(32, seed=5))
         images = media.map_batches(
             lambda df: df[df["kind"] == "image"], batch_format="pandas")
-        return images.map_batches(
-            Resizer, fn_constructor_kwargs=dict(max_side=512),
-            batch_format="pandas", batch_size=8, concurrency=(1, 2))
+        return images.map_batches(Resizer(max_side=512),
+                                  batch_format="pandas", batch_size=8)
 
     q["media_resize"] = q_media_resize
 

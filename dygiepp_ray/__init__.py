@@ -2,9 +2,10 @@
 
 Re-expresses the query/data-processing capabilities of tomhoper/dygiepp
 (reference at /root/reference) as idiomatic Ray Data pipelines: Dataset →
-map_batches over zero-copy Arrow batches, actor pools for stateful kernels,
-partial+final aggregation for the wide shuffles, partitioned Parquet with
-per-partition lineage manifests for resumable output.
+map_batches over zero-copy Arrow batches on the task pool (stateful kernels
+built once per worker process), partial+final aggregation for the wide
+shuffles, partitioned Parquet with per-partition lineage manifests for
+resumable output.
 
 Layout:
   schema.py       Arrow schemas + reference decode constants

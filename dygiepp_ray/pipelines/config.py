@@ -9,7 +9,7 @@ config compiled into a Dataset pipeline:
             {"stage": "bucket", "n_buckets": 32},
             {"stage": "sha256"},
             {"stage": "prep"},
-            {"stage": "extract", "concurrency": [2, 8], "batch_size": 64,
+            {"stage": "extract", "batch_size": 64,
              "namespaces": {"codekb": {...lexicons...}}},
             {"stage": "flatten_triples", "label_map": {"USED-FOR": "MECHANISM"}},
             {"stage": "span_counts", "salt_buckets": 8},
@@ -17,9 +17,11 @@ config compiled into a Dataset pipeline:
     }
     ds = build_pipeline(config)(ray.data.read_parquet(path))
 
-Each stage entry carries its own physical knobs (`concurrency`, `batch_size`,
-`num_cpus`) mirroring §2.10's "per-stage concurrency / batch_size /
-resources". New stages register with `@register_stage("name")`.
+Each stage entry carries its own physical knobs (`batch_size`, `num_cpus`),
+the §2.10 "per-stage batch_size / resources". Stateful stages run as
+callable instances on Ray Data's task pool, which sizes itself to the
+session, so no stage takes a concurrency. New stages register with
+`@register_stage("name")`.
 
 Multi-dataset label namespaces (doc/multi-dataset.md): `extract` accepts
 `namespaces = {dataset_name: {entity_lexicon, relation_patterns,
@@ -35,6 +37,8 @@ import pyarrow as pa
 
 import ray.data
 
+from ..state.process_local import ProcessLocal
+
 STAGE_REGISTRY: dict[str, Callable] = {}
 
 
@@ -44,18 +48,6 @@ def register_stage(name: str):
         return fn
 
     return deco
-
-
-def _physical(params: dict) -> dict:
-    out = {}
-    if "batch_size" in params:
-        out["batch_size"] = params["batch_size"]
-    if "concurrency" in params:
-        c = params["concurrency"]
-        out["concurrency"] = tuple(c) if isinstance(c, (list, tuple)) else c
-    if "num_cpus" in params:
-        out["num_cpus"] = params["num_cpus"]
-    return out
 
 
 @register_stage("bucket")
@@ -80,9 +72,9 @@ def _prep(ds, params):
     return documents_dataset(ds)
 
 
-class NamespacedKernel:
+class NamespacedKernel(ProcessLocal):
     """Per-dataset scorer routing (multi-dataset.md twin): documents carry a
-    `dataset` column; each actor holds one scorer per namespace."""
+    `dataset` column; each worker process holds one scorer per namespace."""
 
     def __init__(self, namespaces: dict[str, dict] | None = None, default: dict | None = None,
                  **kernel_kwargs):
@@ -113,19 +105,12 @@ class NamespacedKernel:
 
 @register_stage("extract")
 def _extract(ds, params):
-    phys = _physical(params)
-    phys.setdefault("concurrency", (1, 4))
     return ds.map_batches(
-        NamespacedKernel,
-        fn_constructor_kwargs=dict(
-            namespaces=params.get("namespaces"),
-            default=params.get("default"),
-            coref_prop=params.get("coref_prop", 0),
-        ),
-        batch_format="pyarrow",
-        num_cpus=phys.pop("num_cpus", 1),
-        **phys,
-    )
+        NamespacedKernel(namespaces=params.get("namespaces"),
+                         default=params.get("default"),
+                         coref_prop=params.get("coref_prop", 0)),
+        batch_format="pyarrow", batch_size=params.get("batch_size"),
+        num_cpus=params.get("num_cpus", 1))
 
 
 @register_stage("flatten_triples")

@@ -38,7 +38,7 @@ from ray.data.aggregate import Min
 
 def curate_corpus(docs: "ray.data.Dataset", quality_min: float = 0.5,
                   jaccard_threshold: float = 0.8,
-                  concurrency=(1, 8), n_buckets: int = 32) -> "ray.data.Dataset":
+                  n_buckets: int = 32) -> "ray.data.Dataset":
     """(doc_id, status) over the full input. See module docstring."""
     from ..joins import hash_join
     from ..stages.curate import neardup_clusters
@@ -84,9 +84,8 @@ def curate_corpus(docs: "ray.data.Dataset", quality_min: float = 0.5,
 
     # ---- stage 2: near-dup clusters over survivors. The drop list is the
     # cluster table itself (doc_id != keep_id) — no driver set.
-    clusters = neardup_clusters(survivors1,
-                                jaccard_threshold=jaccard_threshold,
-                                concurrency=concurrency).materialize()
+    clusters = neardup_clusters(
+        survivors1, jaccard_threshold=jaccard_threshold).materialize()
     near_dups = clusters.map_batches(
         lambda df: df[df["doc_id"].astype("int64")
                       != df["keep_id"].astype("int64")][["doc_id"]]

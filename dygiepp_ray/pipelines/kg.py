@@ -6,9 +6,11 @@ flatten triples (S5/P12-P14), fused in one `__call__` → write partitioned
 Parquet + per-bucket lineage manifests. Count tables (A1) stream through
 partial+final grouped counts.
 
-The documents product (`documents_dataset` → `extract`, an actor pool:
+The documents product (`documents_dataset` → `extract`, a task map:
 documents with `predicted_*` columns) runs the same prep, `_prep_docs`, and
-its triples come from the same flatten (`FlattenTriples`).
+its triples come from the same flatten (`FlattenTriples`). Both stages run
+on Ray Data's task pool, one stage instance per worker process per build
+(`state/process_local.py`).
 
 Everything is lazy/streaming until the sink; no driver-side materialization of
 document or triple data.
@@ -35,9 +37,10 @@ from ..state.manifest import (
     write_json_atomic,
     write_manifest,
 )
+from ..state.process_local import ProcessLocal
 
-# Kernel-stage concurrency: the autoscaling (min, max) `extract` actor pool;
-# in the `extract_triples` task map the max bounds the concurrent tasks.
+# The max of a `(min, max)` concurrency bounds the concurrent tasks of the
+# `extract_triples` task map; the min is ignored.
 DEFAULT_KERNEL_CONCURRENCY = (1, 8)
 DEFAULT_KERNEL_BATCH_SIZE = 64
 
@@ -54,25 +57,20 @@ def documents_dataset(corpus: "ray.data.Dataset") -> "ray.data.Dataset":
 
 
 def extract(documents: "ray.data.Dataset",
-            concurrency=DEFAULT_KERNEL_CONCURRENCY,
             batch_size: int = DEFAULT_KERNEL_BATCH_SIZE,
             **kernel_kwargs) -> "ray.data.Dataset":
-    """Run the extraction kernel actor pool over document rows."""
-    return documents.map_batches(
-        ExtractionKernel,
-        fn_constructor_kwargs=kernel_kwargs,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+    """Document rows → documents with `predicted_*` columns:
+    `ExtractionKernel(**kernel_kwargs)` as a task map."""
+    return documents.map_batches(ExtractionKernel(**kernel_kwargs),
+                                 batch_format="pyarrow",
+                                 batch_size=batch_size, num_cpus=1)
 
 
 # Arrow-native tokenize/sentence-split fast path (VERDICT r4 #5): the fused
 # kernel stage used to round-trip every document through Python regex
 # tokenization (two regex passes + one str allocation per token + a second
 # .lower() copy per token) — the measured DRAM-bandwidth term behind the
-# 16-actor throughput ceiling (BASELINE.md). For documents whose extracted
+# 16-worker throughput ceiling (BASELINE.md). For documents whose extracted
 # text satisfies the FAST preconditions, tokenization runs as ONE vectorized
 # `pc.ascii_split_whitespace` over the batch's Arrow buffer and sentence
 # boundaries come from terminal-punctuation token positions; the Python
@@ -212,7 +210,7 @@ def documents_batch(batch: pa.Table) -> pa.Table:
     return pa.table(out)
 
 
-class ExtractToTriples:
+class ExtractToTriples(ProcessLocal):
     """Fused stage of build_kg / kg_triples: raw corpus rows
     `(repo, path, commit, lang, content[, bucket])` in, triple rows out —
     prep (`_prep_docs`) → `ExtractionKernel.decode_triples_document` →
@@ -224,9 +222,9 @@ class ExtractToTriples:
     `documents_dataset` → `extract` → `FlattenTriples` (pinned by
     tests/test_kernel_decode.py::test_fused_stage_equals_documents_product).
 
-    `extract_triples` runs an instance on Ray Data's task pool. It pickles
-    to (token, kwargs) and unpickles via `_stage_for` to its process's stage
-    for that build, so a worker's tasks share one kernel and sentence memo.
+    `extract_triples` runs an instance on Ray Data's task pool; as a
+    `ProcessLocal` a worker's tasks share one kernel and sentence memo per
+    build.
 
     `do_prep` is accepted for old callers and must be True."""
 
@@ -235,16 +233,8 @@ class ExtractToTriples:
         if do_prep is not True:
             raise ValueError("ExtractToTriples takes raw corpus rows: "
                              "do_prep must be True")
-        import uuid
-
-        self._token = uuid.uuid4().hex
-        self._kwargs = dict(kernel_kwargs, label_map=label_map,
-                            use_coref_substitution=use_coref_substitution)
         self.kernel = ExtractionKernel(**kernel_kwargs)
         self.flatten = FlattenTriples(label_map, use_coref_substitution)
-
-    def __reduce__(self):
-        return _stage_for, (self._token, self._kwargs)
 
     def __call__(self, batch):
         out = self.flatten.empty_out()
@@ -257,19 +247,6 @@ class ExtractToTriples:
                 out, key, sents, rel_rows, clusters, sha,
                 buckets[i] if has_bucket else None)
         return self.flatten.to_table(out, has_bucket)
-
-
-_STAGES: dict[str, ExtractToTriples] = {}  # token → this process's stage
-
-
-def _stage_for(token: str, kwargs: dict) -> ExtractToTriples:
-    """Unpickle hook of `ExtractToTriples`: this process's stage for `token`,
-    built on first use, replacing any other's (concurrent builds just rebuild)."""
-    if token not in _STAGES:
-        _STAGES.clear()
-        _STAGES[token] = ExtractToTriples(**kwargs)
-        _STAGES[token]._token = token
-    return _STAGES[token]
 
 
 def extract_triples(corpus: "ray.data.Dataset",

@@ -32,6 +32,8 @@ import pandas as pd
 import ray
 import ray.data
 
+from ..state.process_local import ProcessLocal
+
 
 def _pair_counts(syms_list, counts) -> Counter:
     """Weighted adjacent-pair counts over symbolized words."""
@@ -173,13 +175,14 @@ def _merges_ds(merges: list[tuple]) -> "ray.data.Dataset":
 # ---------------------------------------------------------- encoding
 
 
-class BpeEncoder:
-    """Actor-pool stage: encode whitespace-lowered words with a learned
+class BpeEncoder(ProcessLocal):
+    """Task-pool stage: encode whitespace-lowered words with a learned
     merge table and emit per-block PARTIAL token counts (token, n_part) —
     the encoded corpus never leaves the task; the final combine is a small
     grouped sum. The merge list is broadcast ONCE via `ray.put` and read in
-    `__init__` (once per actor, not per batch); a per-actor word-type cache
-    makes encode cost proportional to distinct types, not corpus tokens.
+    `__init__` (once per worker process, not per batch); a per-process
+    word-type cache makes encode cost proportional to distinct types, not
+    corpus tokens.
 
     Encode semantics: one leftmost-non-overlapping pass per merge, in rank
     order — identical to the learner's table evolution (`_apply_merge`),
@@ -214,22 +217,19 @@ class BpeEncoder:
 
 def encode_token_counts(docs: "ray.data.Dataset",
                         merges: "ray.data.Dataset",
-                        text_col: str = "text",
-                        concurrency=(1, 4)) -> "ray.data.Dataset":
+                        text_col: str = "text") -> "ray.data.Dataset":
     """(token, n) — corpus token-frequency table under a learned BPE merge
     table (`learn_bpe` output): the tokenizer-application half of the BPE
     pipeline (vocabulary usage / token-budget accounting at scale). The
     merge table is tiny by construction (n_merges rows) — the one
-    legitimate driver-side take — and ships to every encoder actor as one
-    broadcast object."""
+    legitimate driver-side take — and ships to every encoding worker as
+    one broadcast object."""
     from ..aggregates import partial_final_agg
 
     rows = sorted(merges.select_columns(
         ["rank", "left", "right", "merged"]).take_all(),
         key=lambda r: r["rank"])
     ref = ray.put([(r["left"], r["right"], r["merged"]) for r in rows])
-    parts = docs.map_batches(
-        BpeEncoder, fn_constructor_kwargs=dict(merges_ref=ref,
-                                               text_col=text_col),
-        batch_format="pandas", concurrency=concurrency)
+    parts = docs.map_batches(BpeEncoder(ref, text_col=text_col),
+                             batch_format="pandas")
     return partial_final_agg(parts, ["token"], [("n", "n_part", "sum")])

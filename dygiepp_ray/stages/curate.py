@@ -8,7 +8,8 @@ the near-dup passes in `stages/dedup.py`:
   (small) held-out benchmark set.  The benchmark side is tiny by definition
   (MBs even when the training side is 100 TB), so it is collected once on
   the driver and broadcast via `ray.put`; the training side streams through
-  a `map_batches` actor pool that reads the broadcast set in `__init__`.
+  a `map_batches` task map whose stage reads the broadcast set once per
+  worker process.
   One pass over the training corpus, zero shuffles.
 - pii_redact:     regex redaction of emails / IPv4s / phone-shaped numbers,
   vectorized via pandas `.str.replace` with compiled patterns.  Pure
@@ -34,6 +35,8 @@ import pandas as pd
 
 import ray
 import ray.data
+
+from ..state.process_local import ProcessLocal
 
 
 # ------------------------------------------------------------- decontaminate
@@ -71,12 +74,12 @@ def collect_eval_ngrams(eval_docs: "ray.data.Dataset", n: int = 5) -> frozenset:
     return frozenset(per_block.to_pandas()["ng"])
 
 
-class Decontaminator:
-    """Actor-pool stage: flag training docs overlapping the benchmark set.
+class Decontaminator(ProcessLocal):
+    """Task-pool stage: flag training docs overlapping the benchmark set.
 
-    The eval n-gram set arrives as a `ray.put` ObjectRef and is fetched ONCE
-    per actor in `__init__` (zero-copy from the local object store), never
-    re-shipped per batch.
+    The eval n-gram set arrives as a `ray.put` ObjectRef and, as a
+    `ProcessLocal`, is fetched ONCE per worker process in `__init__`
+    (zero-copy from the local object store), never re-shipped per batch.
     """
 
     def __init__(self, eval_ref, n: int = 5):
@@ -101,17 +104,13 @@ class Decontaminator:
 
 
 def decontaminate(train: "ray.data.Dataset", eval_docs: "ray.data.Dataset",
-                  n: int = 5, concurrency=(1, 4)) -> "ray.data.Dataset":
+                  n: int = 5) -> "ray.data.Dataset":
     """(doc_id, n_grams, n_contam) for every training doc sharing at least
     one word n-gram with the benchmark set.  n_contam counts overlapping
     n-gram OCCURRENCES in the training doc."""
     eval_ref = ray.put(collect_eval_ngrams(eval_docs, n))
-    return train.map_batches(
-        Decontaminator,
-        fn_constructor_args=(eval_ref, n),
-        batch_format="pandas",
-        concurrency=concurrency,
-    )
+    return train.map_batches(Decontaminator(eval_ref, n),
+                             batch_format="pandas")
 
 
 # ---------------------------------------------------------------- pii_redact
@@ -348,8 +347,7 @@ def keep_best(ds: "ray.data.Dataset", key_col: str, score_col: str,
 
 
 def neardup_clusters(docs: "ray.data.Dataset",
-                     jaccard_threshold: float = 0.8,
-                     concurrency=(1, 8)) -> "ray.data.Dataset":
+                     jaccard_threshold: float = 0.8) -> "ray.data.Dataset":
     """Cluster-level near-dedup (what production pipelines run after pair
     generation): MinHash-LSH candidate pairs → connected components over the
     pair graph → every clustered doc labeled with its cluster keeper
@@ -363,8 +361,7 @@ def neardup_clusters(docs: "ray.data.Dataset",
     from .dedup import minhash_lsh_pairs
     from .graph import connected_components
 
-    pairs = minhash_lsh_pairs(docs, jaccard_threshold=jaccard_threshold,
-                              concurrency=concurrency)
+    pairs = minhash_lsh_pairs(docs, jaccard_threshold=jaccard_threshold)
     comp = connected_components(pairs.select_columns(["id_a", "id_b"]),
                                 src="id_a", dst="id_b", mode="broadcast")
 
@@ -424,7 +421,6 @@ def fuzzy_decontaminate(train: "ray.data.Dataset",
                         est_threshold: float = 0.5, n_perm: int = 64,
                         n_bands: int = 16, shingle_k: int = 3,
                         id_col: str = "doc_id", text_col: str = "text",
-                        concurrency=(1, 4),
                         n_buckets: int = 64) -> "ray.data.Dataset":
     """(train_id, eval_id, est_jaccard) — NEAR-duplicate decontamination:
     training docs whose minhash-estimated shingle Jaccard against any
@@ -432,7 +428,7 @@ def fuzzy_decontaminate(train: "ray.data.Dataset",
     leakage the exact n-gram `decontaminate` misses.
 
     Unlike exact decontamination (eval n-grams broadcast to a member-check
-    actor pool), the fuzzy variant needs candidate PAIRS, so it reuses the
+    task map), the fuzzy variant needs candidate PAIRS, so it reuses the
     `minhash_lsh_pairs` machinery with both sides banded into ONE coarse
     shuffle; in-bucket verification compares only CROSS (train × eval)
     rows, chunk-bounded like every other pair verify. Neither side is ever
@@ -440,14 +436,10 @@ def fuzzy_decontaminate(train: "ray.data.Dataset",
     split), and even a small one costs only its share of the one shuffle."""
     import numpy as np
 
-    from .dedup import (MinHasher, _dedup_pairs, minhash_bands_with_sig)
+    from .dedup import _dedup_pairs, _minhash_sigs, minhash_bands_with_sig
 
     def sigs_of(ds, side: str):
-        s = ds.select_columns([id_col, text_col]).map_batches(
-            MinHasher, fn_constructor_kwargs=dict(
-                n_perm=n_perm, shingle_k=shingle_k,
-                text_col=text_col, id_col=id_col),
-            batch_format="pandas", concurrency=concurrency)
+        s = _minhash_sigs(ds, n_perm, shingle_k, id_col, text_col)
         return s.map_batches(
             lambda df, sd=side: minhash_bands_with_sig(
                 df, n_bands, id_col, n_buckets).assign(_sd=sd),

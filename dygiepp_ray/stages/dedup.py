@@ -146,7 +146,7 @@ def _perm_params(n_perm: int, seed: int = 7) -> np.ndarray:
 
 
 class MinHasher:
-    """Actor-pool stage: doc → n_perm minhash values (vectorized across the
+    """Task-pool stage: doc → n_perm minhash values (vectorized across the
     shingle set with one (n_shingles, n_perm) modmul)."""
 
     def __init__(self, n_perm: int = 64, shingle_k: int = 3, seed: int = 7,
@@ -264,22 +264,17 @@ def _dedup_pairs(pairs: "ray.data.Dataset", n_buckets: int = 64) -> "ray.data.Da
 def minhash_lsh_pairs(docs: "ray.data.Dataset", n_perm: int = 64, n_bands: int = 16,
                       shingle_k: int = 3, jaccard_threshold: float = 0.8,
                       id_col: str = "doc_id", text_col: str = "text",
-                      concurrency=(1, 8), n_buckets: int = 64) -> "ray.data.Dataset":
+                      n_buckets: int = 64) -> "ray.data.Dataset":
     """Near-duplicate pairs (id_a < id_b, est_jaccard ≥ threshold).
 
-    shingle→minhash (actor pool) → band explode → ONE shuffle on a COARSE
+    shingle→minhash (task map) → band explode → ONE shuffle on a COARSE
     bucket of the band hash → per-bucket pandas groupby over the exact band
     keys → pairwise signature verification inside each band group. The
     coarse bucket keeps the Ray group count at `n_buckets` (vectorized
     per-group work inside), instead of one tiny pandas frame per distinct
     band hash — millions of near-singleton groups at corpus scale.
     """
-    sigs = docs.select_columns([id_col, text_col]).map_batches(
-        MinHasher, fn_constructor_kwargs=dict(
-            n_perm=n_perm, shingle_k=shingle_k, text_col=text_col, id_col=id_col
-        ),
-        batch_format="pandas", concurrency=concurrency,
-    )
+    sigs = _minhash_sigs(docs, n_perm, shingle_k, id_col, text_col)
     # signatures travel WITH the band rows (512 B each at 64 perms): one
     # shuffle total; in-bucket verification needs no second join.
     banded_with_sig = sigs.map_batches(
@@ -359,7 +354,7 @@ def minhash_bands_with_sig(sig_df: pd.DataFrame, n_bands: int,
 
 
 class SimHasher:
-    """Actor-pool stage: 64-bit simhash over whitespace tokens (token hash
+    """Task-pool stage: 64-bit simhash over whitespace tokens (token hash
     bits weighted by term frequency)."""
 
     def __init__(self, text_col: str = "text", id_col: str = "doc_id"):
@@ -406,16 +401,14 @@ class SimHasher:
 
 def simhash_near_dups(docs: "ray.data.Dataset", n_blocks: int = 4,
                       max_hamming: int = 3, id_col: str = "doc_id",
-                      text_col: str = "text", concurrency=(1, 8),
+                      text_col: str = "text",
                       n_buckets: int = 64) -> "ray.data.Dataset":
     """Near-dup pairs by simhash: docs sharing any of `n_blocks` 16-bit blocks
     are candidates (block-permutation banding); pairs verified by Hamming ≤ k.
     Same coarse-bucket shuffle shape as minhash_lsh_pairs: one shuffle on
     hash(block)%B, vectorized per-block pandas groupby inside each bucket."""
     sigs = docs.select_columns([id_col, text_col]).map_batches(
-        SimHasher, fn_constructor_kwargs=dict(text_col=text_col, id_col=id_col),
-        batch_format="pandas", concurrency=concurrency,
-    )
+        SimHasher(text_col=text_col, id_col=id_col), batch_format="pandas")
 
     width = 64 // n_blocks
 
@@ -1096,10 +1089,9 @@ def _minhash_sigs(docs: "ray.data.Dataset", n_perm: int, shingle_k: int,
                   id_col: str, text_col: str) -> "ray.data.Dataset":
     """(id_col, minhash) signature rows of a documents table."""
     return docs.select_columns([id_col, text_col]).map_batches(
-        MinHasher, fn_constructor_kwargs=dict(
-            n_perm=n_perm, shingle_k=shingle_k, text_col=text_col,
-            id_col=id_col),
-        batch_format="pandas", concurrency=(1, 8))
+        MinHasher(n_perm=n_perm, shingle_k=shingle_k, text_col=text_col,
+                  id_col=id_col),
+        batch_format="pandas")
 
 
 def _band_rows(df: pd.DataFrame, n_bands: int, n_buckets: int, id_col: str,

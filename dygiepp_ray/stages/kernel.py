@@ -18,10 +18,11 @@ The Ray-Data twin of the reference's neural forward+decode path
 
   * a deterministic `LexiconScorer` standing in for the BERT trunk: logits are
     produced from broadcast entity-lexicon / relation-pattern / trigger tables
-    (loaded once per actor in `__init__` — the M1/M2 weights-loading slot), so
-    predictions are exactly reproducible by an independent oracle.
+    (loaded once per worker process in `__init__` — the M1/M2
+    weights-loading slot), so predictions are exactly reproducible by an
+    independent oracle.
 
-`ExtractionKernel` is the actor-pool `map_batches` stage: documents in,
+`ExtractionKernel` is the task-pool `map_batches` stage: documents in,
 documents + `predicted_ner` / `predicted_relations` / `predicted_events` /
 `predicted_clusters` out, Arrow in / Arrow out.
 """
@@ -50,6 +51,7 @@ from ..schema import (
     TRIGGER_BEAM_MIN,
     TRIGGER_BEAM_RATIO,
 )
+from ..state.process_local import ProcessLocal
 
 # ------------------------------------------------------------------ decode
 
@@ -134,7 +136,7 @@ def _jitter(text: str) -> float:
     v = _jitter_cache.get(text)
     if v is None:
         v = (stable_hash64(text) % 1000) / 10000.0
-        if len(_jitter_cache) < 1_000_000:  # bound per-actor memory
+        if len(_jitter_cache) < 1_000_000:  # bound per-process memory
             _jitter_cache[text] = v
     return v
 
@@ -559,7 +561,7 @@ def extract_sentence_fast(tokens: list[str], scorer: LexiconScorer):
     return pred_ner, pred_rels, pred_events
 
 
-# -------------------------------------------------------------- actor stage
+# -------------------------------------------------------------- map stage
 
 
 def decode_antecedents(antecedent_best: list[int]) -> list[list[int]]:
@@ -792,10 +794,10 @@ def save_scorer_weights(path: str, entity_lexicon: dict[str, str],
     stand-in for a real model archive. The seam mirrors the reference's
     predictor construction (dygie/predictors/dygie.py:42-55 loads an
     AllenNLP archive from a path once, in the constructor): an artifact
-    path goes in, the scorer is built ONCE PER ACTOR in
+    path goes in, the scorer is built ONCE PER WORKER PROCESS in
     `ExtractionKernel.__init__`. Swapping this file format for real model
     weights (torch state_dict, ONNX, …) changes only `load_scorer_weights`
-    and the scorer class — the Ray actor-pool plumbing stays identical."""
+    and the scorer class — the Ray Data plumbing stays identical."""
     np.savez(
         path,
         format_version=np.array([1], dtype=np.int64),
@@ -839,30 +841,26 @@ def flat_predictions(doc_rel: list[list[dict]], clusters) -> tuple:
                       for c in clusters or ()]
 
 
-class ExtractionKernel:
-    """Actor-pool `map_batches` stage (M1-M8). Lexicon tables are resolved
-    once per actor in __init__ — pass either plain dicts, `ray.ObjectRef`s
-    (broadcast with `ray.put` on the driver; see state/broadcast.py), or a
-    `weights_path` to an `.npz` artifact loaded from disk per actor (the
-    pluggable-weights seam: reference predictors load their model archive
-    the same way, dygie/predictors/dygie.py:42-55).
+class ExtractionKernel(ProcessLocal):
+    """Task-pool `map_batches` stage (M1-M8). As a `ProcessLocal`, lexicon
+    tables are resolved once per worker process in __init__ — pass either
+    plain dicts, `ray.ObjectRef`s (broadcast with `ray.put` on the driver;
+    see state/broadcast.py), or a `weights_path` to an `.npz` artifact
+    loaded from disk per process (the pluggable-weights seam: reference
+    predictors load their model archive the same way,
+    dygie/predictors/dygie.py:42-55).
     `coref_prop` > 0 enables the M7 label-propagation pass."""
 
     def __init__(self, entity_lexicon=None, relation_patterns=None, event_triggers=None,
                  coref_prop: int = 0, coref_mode: str = "canonical",
                  weights_path: str | None = None):
-        import ray
-
         assert coref_mode in ("canonical", "antecedent")
 
-        def _resolve(x, default):
-            if x is None:
-                return default
-            if isinstance(x, ray.ObjectRef):
-                return ray.get(x)
-            return x
-
         from ..corpus import ENTITY_LEXICON, EVENT_TRIGGERS, RELATION_PATTERNS
+        from ..state.broadcast import resolve
+
+        def _resolve(x, default):
+            return default if x is None else resolve(x)
 
         self.coref_weights: tuple | None = None
         if weights_path is not None:
@@ -898,7 +896,7 @@ class ExtractionKernel:
         self.coref_mode = coref_mode
         self._canon_cache: dict[str, str] = {}
         # SENTENCE decode memo of the fused triples path, one per worker
-        # process per build (`pipelines.kg._stage_for`): the sentence-local
+        # process per build (`state/process_local.py`): the sentence-local
         # decode is a pure function of the (lowercased) token list given a
         # fixed scorer, and web-scale corpora are boilerplate-heavy (the
         # 2.3M-file bench corpus has ~77% exact-duplicate sentences within
@@ -1001,7 +999,7 @@ class ExtractionKernel:
         Lexicon scorer in canonical coref mode: the triple table never reads
         NER rows or events, so neither the per-hit dicts nor the event
         decode are built — that Python-object churn was the measured DRAM
-        ceiling at 16 actors (BASELINE.md round-3 actor scan) — and each
+        ceiling at 16 extraction workers (BASELINE.md round-3 scan) — and each
         distinct sentence is decoded once per kernel (the sentence memo).
         Learned scorers and antecedent coref mode take `decode_document`
         (the memo holds canonical clusters only). Output-equivalent to

@@ -357,8 +357,8 @@ class LearnedScorer:
     """Drop-in scorer for `extract_sentence` (same interface as
     `LexiconScorer`: span_logits / relation_logits / trigger_logits /
     role_logits) whose logits come from the trained matrices. Built once
-    per actor in `ExtractionKernel.__init__` from a v2 `.npz` artifact —
-    the same archive-load seam as the reference predictor
+    per worker process in `ExtractionKernel.__init__` from a v2 `.npz`
+    artifact — the same archive-load seam as the reference predictor
     (dygie/predictors/dygie.py:42-55)."""
 
     def __init__(self, weights: dict):

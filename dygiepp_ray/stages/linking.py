@@ -1,8 +1,9 @@
 """Entity linking: mention → canonical entity id via a broadcast alias table.
 
-The alias table (small side) is `ray.put` once on the driver and resolved in
-each actor's `__init__` — never shuffled, never re-shipped per batch (J4
-pattern; the reference's coref-table lookup eval_utils.py:265-281).
+The alias table (small side) is `ray.put` once on the driver and resolved
+once per worker process in `EntityLinker.__init__` — never shuffled, never
+re-shipped per batch (J4 pattern; the reference's coref-table lookup
+eval_utils.py:265-281).
 
 Candidate scoring is deterministic:
   score = exact-alias hit (1.0) | canonical-form hit (0.8) | token-Jaccard
@@ -16,6 +17,7 @@ import pandas as pd
 
 from ..functions.strings import canonicalize, jaccard
 from ..state.broadcast import resolve
+from ..state.process_local import ProcessLocal
 
 
 def build_alias_table(entities: dict[str, list[str]]) -> dict:
@@ -41,8 +43,8 @@ def build_alias_table(entities: dict[str, list[str]]) -> dict:
     }
 
 
-class EntityLinker:
-    """Actor-pool stage over mention rows: adds (entity_id, link_score)."""
+class EntityLinker(ProcessLocal):
+    """Task-pool stage over mention rows: adds (entity_id, link_score)."""
 
     def __init__(self, alias_table_ref, mention_col: str = "mention",
                  min_score: float = 0.5):
@@ -122,7 +124,7 @@ def _char_kgram_set(name: str, k: int) -> "np.ndarray":
 
 
 class CharNameMinHasher:
-    """Actor-pool stage: name → n_perm minhash values over the char-k-gram
+    """Task-pool stage: name → n_perm minhash values over the char-k-gram
     set (the name-similarity twin of `dedup.MinHasher`; same seed family)."""
 
     def __init__(self, n_perm: int = 64, k: int = 3, seed: int = 11,
@@ -159,7 +161,7 @@ def exact_name_jaccard(a: str, b: str, k: int = 3) -> float:
 
 def alias_pairs(names: "ray.data.Dataset", threshold: float = 0.5,
                 k: int = 3, n_perm: int = 64, n_bands: int = 16,
-                name_col: str = "name", concurrency=(1, 4),
+                name_col: str = "name",
                 n_buckets: int = 64) -> "ray.data.Dataset":
     """(id_a < id_b, jaccard) name pairs with exact char-k-gram Jaccard ≥
     threshold, candidate-generated by char-minhash LSH banding (one coarse
@@ -169,9 +171,8 @@ def alias_pairs(names: "ray.data.Dataset", threshold: float = 0.5,
     from .dedup import _dedup_pairs, minhash_bands_with_sig
 
     sigs = names.map_batches(
-        CharNameMinHasher,
-        fn_constructor_kwargs=dict(n_perm=n_perm, k=k, name_col=name_col),
-        batch_format="pandas", concurrency=concurrency)
+        CharNameMinHasher(n_perm=n_perm, k=k, name_col=name_col),
+        batch_format="pandas")
     banded = sigs.map_batches(
         lambda df: minhash_bands_with_sig(df, n_bands, name_col, n_buckets),
         batch_format="pandas")

@@ -2,11 +2,11 @@
 
 The decode libraries (PIL/ffmpeg/librosa) are NOT in this container, so the
 codec step is stubbed (deterministic fake or NotImplementedError) — but the
-Ray-side plumbing is real and tested: schema, small-batch actor-pool stages,
+Ray-side plumbing is real and tested: schema, small-batch task-pool stages,
 typed metadata, output layout. At scale the rules encoded here are:
  - binary payloads ride as `pa.binary()` with sidecar metadata columns;
- - decode/feature stages are actor pools with SMALL batch_size (payload ×
-   batch × concurrency must fit worker heap);
+ - decode/feature stages are task maps with SMALL batch_size (payload ×
+   batch × concurrent tasks must fit worker heap);
  - features come out as fixed-width `list<float>` ready for the similarity /
    dedup stages in this package.
 """
@@ -36,7 +36,7 @@ DEFAULT_MEDIA_BATCH_SIZE = 16
 
 
 class ImageDecoder:
-    """Actor-pool stage: payload → decoded dims + feature vector.
+    """Task-pool stage: payload → decoded dims + feature vector.
 
     REAL decode requires PIL — not available here. `fake=True` (default in
     this container) derives a deterministic pseudo-decode from the payload
@@ -75,7 +75,7 @@ class ImageDecoder:
 
 
 class FrameSampler:
-    """Actor-pool stage: video payload → N deterministic frame offsets (ms).
+    """Task-pool stage: video payload → N deterministic frame offsets (ms).
     Real frame extraction is stubbed; offsets + plumbing are real."""
 
     def __init__(self, n_frames: int = 4):
@@ -110,9 +110,9 @@ def synth_media_table(n: int = 32, seed: int = 5) -> pa.Table:
 
 
 class Resizer:
-    """Actor-pool stage: image rows → resize plan (typed-metadata math).
+    """Task-pool stage: image rows → resize plan (typed-metadata math).
     Real pixel resampling needs PIL (stubbed, like ImageDecoder); the
-    integer aspect-preserving dimension math, schema and small-batch actor
+    integer aspect-preserving dimension math, schema and small-batch task
     plumbing are real: new_w = w·S // max(w,h) (and likewise h) when the
     longest side exceeds `max_side`, else unchanged."""
 

@@ -3,7 +3,7 @@
 Large-scale training-data-pipeline primitives: token counting, quality
 scoring, language ID, document fingerprinting. All are stateless vectorized
 `map_batches` stages (pandas string kernels / numpy); the language-ID stage is
-an actor-pool class so its per-language profiles load once per worker.
+a callable `LangId()` instance over its module-level marker profiles.
 
 Token convention for the SQL-checkable ops: WHITESPACE tokens
 (`regexp_split_to_array(text, '\\s+')` in the DuckDB oracle) — simpler than
@@ -87,7 +87,7 @@ _LANG_MARKERS: dict[str, frozenset[str]] = {
 
 
 class LangId:
-    """Actor-pool stage: (doc_id, lang_pred, lang_conf). Marker-word voting
+    """Task-pool stage: (doc_id, lang_pred, lang_conf). Marker-word voting
     with a CJK-codepoint fallback; deterministic ties broken by language code."""
 
     def __init__(self):

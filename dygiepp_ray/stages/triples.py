@@ -44,7 +44,7 @@ class FlattenTriples:
         self._canon_cache: dict[str, str] = {}
 
     def _canon(self, text: str) -> str:
-        # argument surfaces repeat heavily (Zipfian keys): cache per actor
+        # argument surfaces repeat heavily (Zipfian keys): cache per stage instance
         v = self._canon_cache.get(text)
         if v is None:
             v = canonicalize(text)

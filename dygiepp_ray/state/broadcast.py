@@ -1,8 +1,10 @@
 """Broadcast small-side lookups (SURVEY.md §2.4 J4/J5 pattern).
 
-`ray.put` the small object ONCE on the driver; pass the ObjectRef into actor
-`__init__`s or resolve lazily inside stateless map_batches fns. Never re-ship
-the object per batch, never shuffle-join a small side.
+`ray.put` the small object ONCE on the driver; pass the ObjectRef to a
+`ProcessLocal` stage's constructor (state/process_local.py), which resolves
+it once per worker process, or resolve it lazily inside a stateless
+map_batches fn. Never re-ship the object per batch, never shuffle-join a
+small side.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 from typing import Any
 
 import ray
+
+from .process_local import ProcessLocal
 
 
 def broadcast(obj: Any) -> "ray.ObjectRef":
@@ -84,15 +88,15 @@ def bloom_anti_join(big: "ray.data.Dataset", keys, column: str,
     return big.map_batches(drop_members, batch_format="pyarrow")
 
 
-class BroadcastSetFilter:
+class BroadcastSetFilter(ProcessLocal):
     """Semi/anti-join by broadcast key set: keep rows whose `column` is (or is
     not) in the broadcast set (J5 — check_dataset.py:24-49 style membership)."""
 
     def __init__(self, keys_ref: Any, column: str, keep_if_member: bool = True):
         import pyarrow as pa
 
-        # build the Arrow value-set ONCE per actor — rebuilding it per batch
-        # was a measurable per-batch cost on large key sets
+        # build the Arrow value-set ONCE per worker process — rebuilding it
+        # per batch was a measurable per-batch cost on large key sets
         self.value_set = pa.array(sorted(set(resolve(keys_ref))))
         self.column = column
         self.keep = keep_if_member

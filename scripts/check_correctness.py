@@ -7,13 +7,16 @@ Usage: python scripts/check_correctness.py [sf_dir]
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 import time
 
 import duckdb
 import pandas as pd
 
-sys.path.insert(0, "/root/repo")
+# the checkout this script lives in: its engine is imported and stamped
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO)
 
 
 def to_pandas(res) -> pd.DataFrame:
@@ -102,7 +105,7 @@ def main(sf_dir: str = "/root/testdata/sf0.001", json_out: str | None = None) ->
         import json as _json
         import subprocess
 
-        head = subprocess.run(["git", "-C", "/root/repo", "rev-parse", "HEAD"],
+        head = subprocess.run(["git", "-C", REPO, "rev-parse", "HEAD"],
                               capture_output=True, text=True).stdout.strip()
         payload = {
             "sf_dir": sf_dir,

@@ -5,10 +5,12 @@ Usage: python scripts/qcheck.py name1 name2 ... [--sf /root/testdata/sf0.001]
 
 from __future__ import annotations
 
+import os
 import sys
 
-sys.path.insert(0, "/root/repo")
-sys.path.insert(0, "/root/repo/scripts")
+_SCRIPTS = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.dirname(_SCRIPTS))  # this checkout's engine
+sys.path.insert(0, _SCRIPTS)
 
 from check_correctness import to_pandas, value_hash  # noqa: E402
 

@@ -106,8 +106,7 @@ def main() -> None:
     res["exact_dedup_sec"] = round(time.time() - t0, 1)
 
     t0 = time.time()
-    res["minhash_pairs"] = minhash_lsh_pairs(
-        docs, concurrency=(4, 16)).count()
+    res["minhash_pairs"] = minhash_lsh_pairs(docs).count()
     res["minhash_sec"] = round(time.time() - t0, 1)
 
     res["spill_bytes_final"] = _spill_bytes()

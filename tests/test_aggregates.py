@@ -157,16 +157,12 @@ def test_broadcast_set_filter_semi_and_anti():
     ds = ray.data.from_pandas(df)
     keys_ref = _ray.put([5, 7, 11, 200])
     semi = ds.map_batches(
-        BroadcastSetFilter,
-        fn_constructor_kwargs={"keys_ref": keys_ref, "column": "id",
-                               "keep_if_member": True},
-        batch_format="pyarrow", concurrency=1).to_pandas()
+        BroadcastSetFilter(keys_ref, "id", keep_if_member=True),
+        batch_format="pyarrow").to_pandas()
     assert sorted(semi["id"]) == [5, 7, 11]
     anti = ds.map_batches(
-        BroadcastSetFilter,
-        fn_constructor_kwargs={"keys_ref": keys_ref, "column": "id",
-                               "keep_if_member": False},
-        batch_format="pyarrow", concurrency=1).to_pandas()
+        BroadcastSetFilter(keys_ref, "id", keep_if_member=False),
+        batch_format="pyarrow").to_pandas()
     assert len(anti) == 97 and not {5, 7, 11} & set(anti["id"])
 
 

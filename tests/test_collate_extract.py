@@ -15,7 +15,7 @@ def test_collate_extract_uncollate_matches_direct():
     docs = documents_dataset(corpus).materialize()
 
     # direct path
-    direct = extract(docs, concurrency=1).to_pandas()
+    direct = extract(docs).to_pandas()
     direct_preds = {
         row["doc_key"]: [
             {(m["start"], m["end"], m["label"]) for m in sent}
@@ -26,7 +26,7 @@ def test_collate_extract_uncollate_matches_direct():
 
     # collated path
     packed = collate(docs, max_spans=3000, max_sentences=8)
-    packed_pred = extract(packed, concurrency=1)
+    packed_pred = extract(packed)
     back = uncollate_predictions(packed_pred).to_pandas()
 
     assert set(back["doc_key"]) == set(direct_preds)

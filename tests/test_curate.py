@@ -39,7 +39,6 @@ def test_decontaminate_flags_overlap():
     out = (
         decontaminate(
             ray.data.from_pandas(train), ray.data.from_pandas(ev), n=3,
-            concurrency=1,
         )
         .to_pandas()
         .sort_values("doc_id")
@@ -55,7 +54,6 @@ def test_decontaminate_clean_corpus_empty():
     ev = pd.DataFrame({"doc_id": [2], "text": ["one two three four five"]})
     out = decontaminate(
         ray.data.from_pandas(train), ray.data.from_pandas(ev), n=3,
-        concurrency=1,
     ).to_pandas()
     assert len(out) == 0
 
@@ -293,7 +291,7 @@ def test_neardup_clusters_keeper_assignment():
     ]
     df = pd.DataFrame(rows, columns=["doc_id", "text"])
     got = (
-        neardup_clusters(ray.data.from_pandas(df), concurrency=1)
+        neardup_clusters(ray.data.from_pandas(df))
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)

@@ -21,7 +21,7 @@ def test_curation_statuses_and_stage_order():
     ]
     df = pd.DataFrame(rows, columns=["doc_id", "text"])
     got = (
-        curate_corpus(ray.data.from_pandas(df), concurrency=1)
+        curate_corpus(ray.data.from_pandas(df))
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -36,9 +36,7 @@ def test_curation_covers_every_doc_once():
     # statuses partition the input: every doc_id appears exactly once
     texts = [f"doc {i} with some words the and of to is" for i in range(20)]
     df = pd.DataFrame({"doc_id": range(20), "text": texts})
-    got = curate_corpus(
-        ray.data.from_pandas(df).repartition(4), concurrency=1
-    ).to_pandas()
+    got = curate_corpus(ray.data.from_pandas(df).repartition(4)).to_pandas()
     assert sorted(got["doc_id"]) == list(range(20))
     assert got["doc_id"].is_unique
 
@@ -66,7 +64,7 @@ def test_curation_no_driver_collection(monkeypatch):
 
     texts = [f"doc {i} with some words the and of to is" for i in range(12)]
     df = pd.DataFrame({"doc_id": range(12), "text": texts})
-    out = curate_corpus(ray.data.from_pandas(df).repartition(3), concurrency=1)
+    out = curate_corpus(ray.data.from_pandas(df).repartition(3))
     n = out.count()  # full execution without a driver collect
     assert n == 12
     assert calls == [], f"driver-side collection during curation: {calls}"

@@ -66,8 +66,8 @@ def test_minhash_estimates_jaccard(planted):
 
 
 def test_minhash_lsh_pairs_finds_planted(planted):
-    got = minhash_lsh_pairs(ray.data.from_pandas(planted), jaccard_threshold=0.7,
-                            concurrency=(1, 2)).to_pandas()
+    got = minhash_lsh_pairs(ray.data.from_pandas(planted),
+                            jaccard_threshold=0.7).to_pandas()
     pairs = set(zip(got["id_a"], got["id_b"]))
     assert (0, 1) in pairs and (2, 3) in pairs
     # no false positives among the heavily-mutated docs
@@ -75,8 +75,8 @@ def test_minhash_lsh_pairs_finds_planted(planted):
 
 
 def test_simhash_near_dups(planted):
-    got = simhash_near_dups(ray.data.from_pandas(planted), max_hamming=6,
-                            concurrency=(1, 2)).to_pandas()
+    got = simhash_near_dups(ray.data.from_pandas(planted),
+                            max_hamming=6).to_pandas()
     pairs = set(zip(got["id_a"], got["id_b"]))
     assert (0, 1) in pairs  # identical docs → identical simhash
     sh = SimHasher()

@@ -388,8 +388,9 @@ def test_fused_stage_unpickles_to_one_stage_per_process(monkeypatch):
     import pickle
 
     import dygiepp_ray.pipelines.kg as kg
+    from dygiepp_ray.state import process_local
 
-    monkeypatch.setattr(kg, "_STAGES", {})
+    monkeypatch.setattr(process_local, "_INSTANCES", {})
     first = kg.ExtractToTriples()
     blob = pickle.dumps(first)
     held = pickle.loads(blob)
@@ -399,7 +400,8 @@ def test_fused_stage_unpickles_to_one_stage_per_process(monkeypatch):
 
     second = pickle.loads(pickle.dumps(kg.ExtractToTriples()))
     assert second is not held
-    assert list(kg._STAGES.values()) == [second]
+    assert process_local._INSTANCES[kg.ExtractToTriples] == (
+        second._token, second)
     assert pickle.loads(blob) is not held  # rebuilt, with a fresh memo
 
 

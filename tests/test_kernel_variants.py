@@ -91,8 +91,8 @@ def test_weights_artifact_parity_in_actor_pool(tmp_path):
     ds = ray.data.from_arrow(_doc_batch(docs))
 
     def run(**kw):
-        out = ds.map_batches(ExtractionKernel, fn_constructor_kwargs=kw,
-                             concurrency=1, batch_format="pyarrow").to_pandas()
+        out = ds.map_batches(ExtractionKernel(**kw),
+                             batch_format="pyarrow").to_pandas()
         return out.sort_values("doc_key").reset_index(drop=True)
 
     inline = run()

@@ -155,14 +155,43 @@ def test_build_resume_and_manifests(corpus_dir):
     assert total_before == total_after  # stale partials were cleaned, no dupes
 
 
-def test_build_kg_extracts_on_tasks(corpus_dir, tmp_path, monkeypatch):
-    """build_kg runs the fused stage on Ray Data's task pool: the written
-    dataset's `MapBatches(ExtractToTriples)` operator held no actors, and
-    every session CPU is free again once build_kg returns, with the cyclic
-    GC off (a finished actor pool can hold its CPUs until it runs)."""
+@pytest.fixture
+def frees_cpus_on_return():
+    """Runs a query with the cyclic GC off and asserts every session CPU is
+    free again within 5 s of its return. A finished actor pool can hold its
+    CPUs until the GC runs; a task map frees them as its tasks end."""
     import gc
     import time
 
+    import ray
+
+    cpus = ray.cluster_resources()["CPU"]
+
+    def wait_free(timeout_s: float) -> float:
+        deadline = time.monotonic() + timeout_s
+        while (ray.available_resources().get("CPU", 0) < cpus
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        return ray.available_resources().get("CPU", 0)
+
+    def check(query) -> None:
+        gc.collect()  # pools left by earlier tests
+        assert wait_free(30) == cpus
+        gc.disable()
+        try:
+            query()
+            assert wait_free(5) == cpus
+        finally:
+            gc.enable()
+
+    return check
+
+
+def test_build_kg_extracts_on_tasks(corpus_dir, tmp_path, monkeypatch,
+                                    frees_cpus_on_return):
+    """build_kg runs the fused stage on Ray Data's task pool: the written
+    dataset's `MapBatches(ExtractToTriples)` operator held no actors, and
+    every session CPU is free again once build_kg returns."""
     import ray
 
     written = []
@@ -172,24 +201,9 @@ def test_build_kg_extracts_on_tasks(corpus_dir, tmp_path, monkeypatch):
         written.append(ds)
         return write_parquet(ds, *args, **kwargs)
 
-    def wait_free(timeout_s: float) -> float:
-        deadline = time.monotonic() + timeout_s
-        while (ray.available_resources().get("CPU", 0) < cpus
-               and time.monotonic() < deadline):
-            time.sleep(0.05)
-        return ray.available_resources().get("CPU", 0)
-
     monkeypatch.setattr(ray.data.Dataset, "write_parquet", capture)
-    cpus = ray.cluster_resources()["CPU"]
-    gc.collect()  # actor pools left by earlier tests
-    assert wait_free(30) == cpus
-    gc.disable()
-    try:
-        build_kg(corpus_dir, str(tmp_path / "kg"), n_buckets=8,
-                 concurrency=(1, 2))
-        assert wait_free(5) == cpus
-    finally:
-        gc.enable()
+    frees_cpus_on_return(lambda: build_kg(
+        corpus_dir, str(tmp_path / "kg"), n_buckets=8, concurrency=(1, 2)))
 
     metrics, stack = {}, [written[0]._write_ds._get_stats_summary()]
     while stack:
@@ -200,6 +214,48 @@ def test_build_kg_extracts_on_tasks(corpus_dir, tmp_path, monkeypatch):
     stage = metrics["MapBatches(ExtractToTriples)"]
     assert stage["num_alive_actors"] == 0
     assert "pending_actors" not in stage  # an actor-pool-only metric
+
+
+def _documents(n: int, seed: int):
+    """A small `documents` table over the documents-product vocabulary."""
+    import random
+
+    import pandas as pd
+
+    from dygiepp_ray.pipelines.docs_adapter import DOC_LEXICON
+
+    rng = random.Random(seed)
+    vocab = sorted(DOC_LEXICON) + ["the", "a", "fast", "data", "of", "uses"]
+    texts = [" ".join(rng.choice(vocab) for _ in range(rng.randint(8, 30)))
+             for _ in range(n)]
+    return pd.DataFrame({"doc_id": range(n), "text": texts,
+                         "source": [f"src{i % 3}" for i in range(n)]})
+
+
+def _minhash_query(tmp_path):
+    import ray.data
+    from dygiepp_ray.stages.dedup import minhash_lsh_pairs
+
+    docs = ray.data.from_pandas(_documents(60, seed=1)[["doc_id", "text"]])
+    minhash_lsh_pairs(docs, jaccard_threshold=0.5).materialize()
+
+
+def _entity_links_query(tmp_path):
+    import __ray_entry__ as entry
+
+    sf_dir = tmp_path / "sf_links"
+    sf_dir.mkdir()
+    _documents(60, seed=2).to_parquet(sf_dir / "documents.parquet")
+    entry.queries()["kg_entity_links"](str(sf_dir)).materialize()
+
+
+@pytest.mark.parametrize("query", [_minhash_query, _entity_links_query],
+                         ids=["minhash_lsh_pairs", "kg_entity_links"])
+def test_query_frees_cpus_on_return(query, tmp_path, frees_cpus_on_return):
+    """Every stateful stage runs on the task pool, so a query that used one
+    (MinHash signatures; the extraction kernel and `EntityLinker` of the
+    entity-link query) holds no CPU once it returns."""
+    frees_cpus_on_return(lambda: query(tmp_path))
 
 
 def test_subject_store_selective_lookup(tmp_path):

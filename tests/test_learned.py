@@ -112,9 +112,8 @@ def test_learned_kernel_actor_pool_roundtrip(tmp_path, trained, corpora):
     })
     pooled = (
         ray.data.from_arrow(tbl)
-        .map_batches(ExtractionKernel,
-                     fn_constructor_kwargs=dict(weights_path=path),
-                     batch_format="pyarrow", batch_size=4, concurrency=2)
+        .map_batches(ExtractionKernel(weights_path=path),
+                     batch_format="pyarrow", batch_size=4)
         .to_pandas().sort_values("doc_key").reset_index(drop=True)
     )
     local = ExtractionKernel(weights_path=path)(tbl).to_pandas() \

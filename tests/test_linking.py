@@ -39,10 +39,7 @@ def test_jaccard_fallback_and_tie_break():
 def test_linker_stage_over_dataset():
     ds = ray.data.from_pandas(pd.DataFrame({"mention": ["hash join", "nope at all"]}))
     ref = ray.put(build_alias_table(ALIASES))
-    out = ds.map_batches(
-        EntityLinker, fn_constructor_kwargs=dict(alias_table_ref=ref),
-        batch_format="pandas", concurrency=1,
-    ).to_pandas()
+    out = ds.map_batches(EntityLinker(ref), batch_format="pandas").to_pandas()
     assert out.loc[out["mention"] == "hash join", "entity_id"].iloc[0] == "E001"
     assert out.loc[out["mention"] == "nope at all", "entity_id"].isna().all()
 

@@ -35,11 +35,11 @@ def test_fake_decoder_deterministic():
     assert all(len(f) == 8 for f in f1)
 
 
-def test_actor_pool_pipeline():
+def test_task_pool_pipeline():
     ds = ray.data.from_arrow(synth_media_table(16))
     out = ds.map_batches(
-        ImageDecoder, fn_constructor_kwargs=dict(feature_dim=4),
-        batch_format="pandas", batch_size=DEFAULT_MEDIA_BATCH_SIZE, concurrency=1,
+        ImageDecoder(feature_dim=4),
+        batch_format="pandas", batch_size=DEFAULT_MEDIA_BATCH_SIZE,
     ).to_pandas()
     assert len(out) == 16 and all(len(f) == 4 for f in out["feature"])
 

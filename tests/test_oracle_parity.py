@@ -65,7 +65,7 @@ def test_simhash_oracle_parity():
 
     docs = ray.data.read_parquet(f"{SF}/documents.parquet",
                                  columns=["doc_id", "text"])
-    got = simhash_near_dups(docs, concurrency=(1, 2)).to_pandas()
+    got = simhash_near_dups(docs).to_pandas()
     want = oracle.expected_simhash_pairs(SF).to_pandas()
     assert len(got) == len(want) > 0
     assert value_hash(got) == value_hash(want)

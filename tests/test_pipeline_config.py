@@ -15,7 +15,7 @@ def test_full_config_pipeline():
         "stages": [
             {"stage": "sha256"},
             {"stage": "prep"},
-            {"stage": "extract", "concurrency": [1, 2], "batch_size": 16},
+            {"stage": "extract", "batch_size": 16},
             {"stage": "flatten_triples"},
             {"stage": "span_counts", "salt_buckets": 4},
         ]
