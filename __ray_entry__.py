@@ -48,16 +48,16 @@ from dygiepp_ray.stages.triples import flatten_ner_mentions
 # ---------------------------------------------------------------- helpers
 
 
-def _kernel_conc() -> tuple[int, int]:
+def _kernel_conc() -> int:
     """Concurrency of the fused build (`build_kg` / `kg_triples` /
-    `extract_triples`): the max bounds concurrent extraction tasks at the
-    Ray session's CPU count less two, which leaves CPUs for the read and
-    write stages."""
+    `extract_triples`): concurrent extraction tasks are bounded at the Ray
+    session's CPU count less two, which leaves CPUs for the read and write
+    stages."""
     try:
         cpus = int(ray.cluster_resources().get("CPU", 4))
     except Exception:  # noqa: BLE001 — not initialised yet
         cpus = 4
-    return (1, max(2, cpus - 2))
+    return max(2, cpus - 2)
 
 
 _SCHEMA_CACHE: dict = {}
@@ -82,6 +82,41 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> "ray.dat
     path = os.path.join(sf_dir, f"{table}.parquet")
     return ray.data.read_parquet(path, columns=columns,
                                  schema=_clean_schema(path, columns))
+
+
+def _event_baskets(sf_dir: str) -> "ray.data.Dataset":
+    """Distinct (user_id, day, t) rows: the event types of each (user, day)
+    basket."""
+
+    def prep(df: pd.DataFrame) -> pd.DataFrame:
+        day = (df["ts"] - pd.Timestamp("1970-01-01")).dt.days.astype("int64")
+        return pd.DataFrame({"user_id": df["user_id"], "day": day,
+                             "t": df["event_type"]}).drop_duplicates()
+
+    return distinct_first(
+        _read(sf_dir, "events", ["user_id", "ts", "event_type"]).map_batches(
+            prep, batch_format="pandas"),
+        ["user_id", "day", "t"])
+
+
+def _cobasket_support(baskets: "ray.data.Dataset") -> "ray.data.Dataset":
+    """(type_a, type_b, support): baskets holding both types, type_a <
+    type_b. ONE coarse-bucket shuffle on the basket key, an in-task
+    self-merge (fanout bounded by the tiny per-basket type count), pair
+    partials and a tiny final combine."""
+    from dygiepp_ray.aggregates import partial_final_agg
+    from dygiepp_ray.joins import bucket_groups
+
+    def pair_partials(df: pd.DataFrame) -> pd.DataFrame:
+        m = df.merge(df, on=["user_id", "day"])
+        m = m[m["t_x"] < m["t_y"]]
+        g = m.groupby(["t_x", "t_y"], sort=False, as_index=False).size()
+        return g.rename(columns={"t_x": "type_a", "t_y": "type_b",
+                                 "size": "s_p"})
+
+    return partial_final_agg(
+        bucket_groups(baskets, ["user_id", "day"], 64, pair_partials),
+        ["type_a", "type_b"], [("support", "s_p", "sum")])
 
 
 def _sf_tag(sf_dir: str) -> str:
@@ -935,44 +970,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def q_events_cobaskets(sf_dir: str):
         # association mining: support of unordered event-type pairs
-        # co-occurring in the same (user, day) basket — distinct baskets,
-        # ONE coarse-bucket shuffle on the basket key, in-task self-merge
-        # (pair fanout bounded by the tiny per-basket type count), pair
-        # partials, tiny final combine
-        from dygiepp_ray.aggregates import distinct_first, partial_final_agg
-
-        ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
-
-        def prep(df: pd.DataFrame) -> pd.DataFrame:
-            day = (df["ts"] - pd.Timestamp("1970-01-01")).dt.days.astype(
-                "int64")
-            return pd.DataFrame({"user_id": df["user_id"], "day": day,
-                                 "t": df["event_type"]}).drop_duplicates()
-
-        baskets = distinct_first(
-            ds.map_batches(prep, batch_format="pandas"),
-            ["user_id", "day", "t"])
-
-        def stamp(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            h = pd.util.hash_pandas_object(df[["user_id", "day"]],
-                                           index=False).to_numpy()
-            df["_bk"] = (h % np.uint64(64)).astype("int64")
-            return df
-
-        def pair_partials(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.drop(columns=["_bk"])
-            m = df.merge(df, on=["user_id", "day"])
-            m = m[m["t_x"] < m["t_y"]]
-            g = m.groupby(["t_x", "t_y"], sort=False, as_index=False).size()
-            return g.rename(columns={"t_x": "type_a", "t_y": "type_b",
-                                     "size": "s_p"})
-
-        partials = (baskets.map_batches(stamp, batch_format="pandas")
-                    .groupby("_bk")
-                    .map_groups(pair_partials, batch_format="pandas"))
-        return partial_final_agg(partials, ["type_a", "type_b"],
-                                 [("support", "s_p", "sum")])
+        # co-occurring in the same (user, day) basket
+        return _cobasket_support(_event_baskets(sf_dir))
 
     q["events_cobaskets"] = q_events_cobaskets
 
@@ -983,39 +982,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # grouped count, N via one distinct reduce; the final arithmetic
         # runs on the driver over the types²-bounded pair table with
         # python bigints (HUGEINT twin in SQL — BIGINT products overflow)
-        from dygiepp_ray.aggregates import distinct_first, partial_final_agg
-
-        ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
-
-        def prep(df: pd.DataFrame) -> pd.DataFrame:
-            day = (df["ts"] - pd.Timestamp("1970-01-01")).dt.days.astype(
-                "int64")
-            return pd.DataFrame({"user_id": df["user_id"], "day": day,
-                                 "t": df["event_type"]}).drop_duplicates()
-
-        baskets = distinct_first(
-            ds.map_batches(prep, batch_format="pandas"),
-            ["user_id", "day", "t"]).materialize()
-
-        def stamp(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            h = pd.util.hash_pandas_object(df[["user_id", "day"]],
-                                           index=False).to_numpy()
-            df["_bk"] = (h % np.uint64(64)).astype("int64")
-            return df
-
-        def pair_partials(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.drop(columns=["_bk"])
-            m = df.merge(df, on=["user_id", "day"])
-            m = m[m["t_x"] < m["t_y"]]
-            g = m.groupby(["t_x", "t_y"], sort=False, as_index=False).size()
-            return g.rename(columns={"t_x": "type_a", "t_y": "type_b",
-                                     "size": "s_p"})
-
-        pairs = partial_final_agg(
-            baskets.map_batches(stamp, batch_format="pandas")
-            .groupby("_bk").map_groups(pair_partials, batch_format="pandas"),
-            ["type_a", "type_b"], [("support", "s_p", "sum")]).to_pandas()
+        baskets = _event_baskets(sf_dir).materialize()
+        pairs = _cobasket_support(baskets).to_pandas()
 
         tc = grouped_count(baskets.select_columns(["t"]), ["t"],
                            out_name="n_t").to_pandas()
@@ -4212,6 +4180,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # final, coarse sha-bucket per-group reduce (per-source partials
         # emitted only for groups with total > 1), source-sized final sum.
         from dygiepp_ray.aggregates import partial_final_agg
+        from dygiepp_ray.joins import bucket_groups
         from dygiepp_ray.stages.dedup import _text_sha
 
         docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
@@ -4224,11 +4193,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 batch_format="pandas"),
             ["text_sha", "source"], [("n_ss", "n_p", "sum")])
 
-        def stamp_bk(df: pd.DataFrame) -> pd.DataFrame:
-            h = pd.util.hash_pandas_object(df["text_sha"],
-                                           index=False).to_numpy()
-            return df.assign(_bk=(h % np.uint64(32)).astype("int64"))
-
         def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
             tot = df.groupby("text_sha")["n_ss"].transform("sum")
             out = pd.DataFrame({
@@ -4240,10 +4204,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 ["n_p", "d_p"]].sum()
 
         agg = partial_final_agg(
-            counts.map_batches(stamp_bk, batch_format="pandas")
-            .groupby("_bk").map_groups(per_bucket, batch_format="pandas"),
-            ["source"], [("n_docs", "n_p", "sum"),
-                         ("n_dup_docs", "d_p", "sum")])
+            bucket_groups(counts, "text_sha", 32, per_bucket), ["source"],
+            [("n_docs", "n_p", "sum"), ("n_dup_docs", "d_p", "sum")])
 
         def finish(df: pd.DataFrame) -> pd.DataFrame:
             n = df["n_docs"].to_numpy("int64")
@@ -5471,21 +5433,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # one doc-key shuffle, in-task self-merge with fanout bounded by
         # the tiny per-doc predicate count
         from dygiepp_ray.aggregates import distinct_first, partial_final_agg
+        from dygiepp_ray.joins import bucket_groups
 
         _ensure_triples_oracle(sf_dir)
         dp = distinct_first(
             _synth_triples(sf_dir).select_columns(["doc_id", "pred"]),
             ["doc_id", "pred"])
 
-        def stamp(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            h = pd.util.hash_pandas_object(df["doc_id"],
-                                           index=False).to_numpy()
-            df["_bk"] = (h % np.uint64(64)).astype("int64")
-            return df
-
         def pair_partials(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.drop(columns=["_bk"])
             m = df.merge(df, on="doc_id")
             m = m[m["pred_x"] < m["pred_y"]]
             g = m.groupby(["pred_x", "pred_y"], sort=False,
@@ -5493,11 +5448,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return g.rename(columns={"pred_x": "pred_a", "pred_y": "pred_b",
                                      "size": "s_p"})
 
-        partials = (dp.map_batches(stamp, batch_format="pandas")
-                    .groupby("_bk")
-                    .map_groups(pair_partials, batch_format="pandas"))
-        return partial_final_agg(partials, ["pred_a", "pred_b"],
-                                 [("support", "s_p", "sum")])
+        return partial_final_agg(
+            bucket_groups(dp, "doc_id", 64, pair_partials),
+            ["pred_a", "pred_b"], [("support", "s_p", "sum")])
 
     q["kg_pred_cooccurrence"] = q_kg_pred_cooccurrence
 

@@ -488,24 +488,17 @@ def argmax_per_key(ds: "ray.data.Dataset", key: str, order_cols: list[str],
                    ascending: list[bool], keep_cols: list[str],
                    n_buckets: int = 16) -> "ray.data.Dataset":
     """Per-key argmax/argmin row selection at unbounded key cardinality:
-    ONE shuffle on `hash(key) % n_buckets` (coarse buckets — never one Ray
-    group per key), then a vectorized sort + head(1)-per-key inside each
-    bucket. `order_cols`/`ascending` define the winner (put deterministic
-    tie-breaks last); `keep_cols` is the output projection. This is the
-    reusable form of the top-pred reduce in `pipelines/kg.py:entity_kb`."""
-    import pandas as pd
-
-    def stamp(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df.copy()
-        h = pd.util.hash_pandas_object(df[key], index=False).to_numpy()
-        df["_ab"] = (h % np.uint64(n_buckets)).astype("int64")
-        return df
+    `joins.bucket_groups` on `hash(key) % n_buckets` (ONE shuffle on coarse
+    buckets — never one Ray group per key), then a vectorized sort +
+    head(1)-per-key inside each bucket. `order_cols`/`ascending` define the
+    winner (put deterministic tie-breaks last); `keep_cols` is the output
+    projection."""
+    from .joins import bucket_groups
 
     def per_bucket(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df.drop(columns=["_ab"]).sort_values(
+        df = df.sort_values(
             [key] + order_cols, ascending=[True] + list(ascending),
             kind="mergesort")
         return df.groupby(key, sort=False).head(1)[keep_cols]
 
-    return (ds.map_batches(stamp, batch_format="pandas")
-            .groupby("_ab").map_groups(per_bucket, batch_format="pandas"))
+    return bucket_groups(ds, key, n_buckets, per_bucket)

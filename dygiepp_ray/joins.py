@@ -1,16 +1,36 @@
-"""Join operators (SURVEY.md §2.4).
+"""Join operators (SURVEY.md §2.4) and the two keyed-bucket shuffle
+primitives.
 
-Every two-sided bucketed shuffle goes through ONE co-group path,
-`_cogroup`: both sides arrive stamped with `_bucket`, each is padded to the
-union schema (zeros for int/bool columns, typed nulls otherwise) and
-tagged `_side`, the two are unioned and grouped once on `_bucket`
-(sort-based `map_groups`). Each bucket's table is split back into its sides
-IN ARROW — each side selects only its own columns before its own pandas
-conversion — so no side ever sees a padded value and int/bool columns keep
-their dtypes. A `per_bucket(ldf, rdf)` callable then
-does the pandas work. The joins below, the J2 collect and the persisted
-dedup store matches differ only in how they stamp `_bucket` and in that
-callable.
+A keyed shuffle over an unbounded key space never makes one Ray group per
+key: it stamps a COARSE `_bucket` and runs ONE sort-based
+`groupby("_bucket").map_groups`, and a per-bucket pandas kernel does the
+per-key work. Every bucket-by-key shuffle goes through one of two
+primitives, so a change to the shuffle itself (e.g. Ray Data's native hash
+shuffle, or skew handling on the bucket) is an edit in two places:
+
+- `bucket_groups(ds, keys, n_buckets, fn)` — one-sided.
+  `_bucket = hash_pandas_object(keys) % n_buckets`, computed on the key
+  columns alone (int keys cast to int64 first, so an int32 and an int64
+  block place a key alike; null keys share one bucket). `fn(frame)` then
+  runs once per bucket on the bucket's rows, `_bucket` already dropped.
+  Every row of one key lands in one bucket, so a per-key reduce inside
+  `fn` is exact. Window functions, argmax and dedup reduces, wedge
+  generation and the in-bucket self-merges go through it.
+- `_cogroup` — two-sided. Both sides arrive stamped with `_bucket`, each is
+  padded to the union schema (zeros for int/bool columns, typed nulls
+  otherwise) and tagged `_side`, the two are unioned and grouped once on
+  `_bucket`. Each bucket's table is split back into its sides IN ARROW —
+  each side selects only its own columns before its own pandas conversion
+  — so no side ever sees a padded value and int/bool columns keep their
+  dtypes. A `per_bucket(ldf, rdf)` callable then does the pandas work. The
+  joins below, the J2 collect and the persisted dedup store matches differ
+  only in how they stamp `_bucket` and in that callable.
+
+Buckets derived from LSH band or signature values, and the persisted
+`bucket` layouts of the build and the dedup stores, are not keyed-bucket
+shuffles and stamp their own.
+
+The joins:
 
 - `broadcast_lookup` — small side `ray.put` once, dict-mapped per batch (J1
   when one side is a dimension table; no shuffle).
@@ -160,6 +180,46 @@ def _cogroup(left: "ray.data.Dataset", lcols: list[str], ltypes: dict,
     l = left.map_batches(pad(lcols, rtypes, 0), batch_format="pyarrow")
     r = right.map_batches(pad(rcols, ltypes, 1), batch_format="pyarrow")
     return l.union(r).groupby("_bucket").map_groups(split, batch_format="pyarrow")
+
+
+def bucket_groups(ds: "ray.data.Dataset", keys: str | list[str],
+                  n_buckets: int, fn) -> "ray.data.Dataset":
+    """Run `fn(frame) -> DataFrame` once per coarse key bucket: ONE
+    `groupby("_bucket").map_groups` shuffle on
+    `_bucket = hash_pandas_object(keys) % n_buckets`, so every row of one
+    key reaches the same single `fn` call and the group count stays at
+    `n_buckets` whatever the key cardinality.
+
+    The stamp stays in Arrow: only the key columns go through pandas, to
+    be hashed. A str `keys` hashes that column, a list hashes the frame of
+    those columns (pandas' own `df[keys]` rule). Int keys are cast to int64
+    in the stamped table, so one key arriving as int32 in one block and
+    int64 in another lands in one bucket; null keys all hash alike. `fn`
+    sees the bucket's rows as pandas, without `_bucket`. The hash is
+    `hash_pandas_object`'s fixed default key, so placement is the same in
+    every process."""
+    key_cols = [keys] if isinstance(keys, str) else list(keys)
+
+    def stamp(t: pa.Table) -> pa.Table:
+        t = t.replace_schema_metadata(None)
+        for k in key_cols:
+            col = t.column(k)
+            if pa.types.is_integer(col.type) and col.type != pa.int64():
+                t = t.set_column(t.schema.get_field_index(k), k,
+                                 pc.cast(col, pa.int64()))
+        # nullable Int64: a null int key hashes to pandas' NA value instead
+        # of turning the column float (which would move its non-null keys)
+        kdf = t.select(key_cols).to_pandas(
+            types_mapper={pa.int64(): pd.Int64Dtype()}.get)
+        h = pd.util.hash_pandas_object(kdf[keys], index=False).to_numpy()
+        return t.append_column(
+            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64)))
+
+    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
+        return fn(df.drop(columns=["_bucket"]))
+
+    return (ds.map_batches(stamp, batch_format="pyarrow")
+            .groupby("_bucket").map_groups(per_bucket, batch_format="pandas"))
 
 
 def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",

@@ -39,9 +39,8 @@ from ..state.manifest import (
 )
 from ..state.process_local import ProcessLocal
 
-# The max of a `(min, max)` concurrency bounds the concurrent tasks of the
-# `extract_triples` task map; the min is ignored.
-DEFAULT_KERNEL_CONCURRENCY = (1, 8)
+# Bound on the concurrent tasks of the `extract_triples` task map.
+DEFAULT_KERNEL_CONCURRENCY = 8
 DEFAULT_KERNEL_BATCH_SIZE = 64
 
 
@@ -250,19 +249,17 @@ class ExtractToTriples(ProcessLocal):
 
 
 def extract_triples(corpus: "ray.data.Dataset",
-                    concurrency=DEFAULT_KERNEL_CONCURRENCY,
+                    concurrency: int = DEFAULT_KERNEL_CONCURRENCY,
                     batch_size: int = DEFAULT_KERNEL_BATCH_SIZE,
                     **kernel_kwargs) -> "ray.data.Dataset":
     """Corpus rows → triple rows: `ExtractToTriples(**kernel_kwargs)` as
-    a task map; a `(min, max)` concurrency bounds the tasks by its max."""
-    if isinstance(concurrency, tuple):
-        concurrency = concurrency[1]
+    a task map of at most `concurrency` concurrent tasks."""
     return corpus.map_batches(ExtractToTriples(**kernel_kwargs),
                               batch_format="pyarrow", batch_size=batch_size,
                               concurrency=concurrency, num_cpus=1)
 
 
-def kg_triples(input_dir: str, concurrency=DEFAULT_KERNEL_CONCURRENCY,
+def kg_triples(input_dir: str, concurrency: int = DEFAULT_KERNEL_CONCURRENCY,
                batch_size: int = DEFAULT_KERNEL_BATCH_SIZE,
                **kernel_kwargs) -> "ray.data.Dataset":
     """Corpus dir → streaming triples Dataset (no sink)."""
@@ -348,7 +345,7 @@ def graph_nodes(triples: "ray.data.Dataset", salt_buckets: int = 1) -> "ray.data
 
 
 def build_kg(input_dir: str, out_dir: str, n_buckets: int = 16, resume: bool = True,
-             concurrency=DEFAULT_KERNEL_CONCURRENCY,
+             concurrency: int = DEFAULT_KERNEL_CONCURRENCY,
              batch_size: int = DEFAULT_KERNEL_BATCH_SIZE,
              **kernel_kwargs) -> dict:
     """Full materializing run: triples → `out_dir/bucket=<b>/*.parquet` +
@@ -394,7 +391,7 @@ def build_kg(input_dir: str, out_dir: str, n_buckets: int = 16, resume: bool = T
 
 
 def build_kg_incremental(input_dir: str, out_dir: str,
-                         concurrency=DEFAULT_KERNEL_CONCURRENCY,
+                         concurrency: int = DEFAULT_KERNEL_CONCURRENCY,
                          batch_size: int = DEFAULT_KERNEL_BATCH_SIZE) -> dict:
     """Append-friendly KB build: per-INPUT-SHARD lineage manifests.
 
@@ -686,6 +683,16 @@ def functional_conflicts(triples: "ray.data.Dataset",
 _TRI_SEP = "\x1f"
 
 
+def _distinct_edges(triples: "ray.data.Dataset",
+                    salt_buckets: int = 1) -> "ray.data.Dataset":
+    """DISTINCT directed edge set (subj_norm, pred, obj_norm) of the triples
+    table, materialized — every consumer reads it more than once."""
+    cols = ["subj_norm", "pred", "obj_norm"]
+    return grouped_count(triples.select_columns(cols), cols, out_name="_c",
+                         salt_buckets=salt_buckets
+                         ).select_columns(cols).materialize()
+
+
 def _undirected_edges(triples: "ray.data.Dataset",
                       salt_buckets: int) -> "ray.data.Dataset":
     """DISTINCT undirected non-loop edge set (u, v) with u < v, from the
@@ -721,6 +728,28 @@ def _node_degrees(edges: "ray.data.Dataset") -> "ray.data.Dataset":
                          ["node"], out_name="deg").materialize()
 
 
+def _neighbor_pairs(df: "pd.DataFrame", center: str,
+                    nbr: str) -> "pd.DataFrame":
+    """(center, x, y): every pair x < y of the distinct `nbr` values of each
+    `center` in `df` — the wedge kernel of the triangle and common-neighbour
+    operators. A center with k distinct neighbours emits k(k-1)/2 rows."""
+    import numpy as np
+    import pandas as pd
+
+    parts = []
+    for c, g in df.groupby(center, sort=False):
+        ns = sorted(set(g[nbr]))
+        if len(ns) < 2:
+            continue
+        ii, jj = np.triu_indices(len(ns), 1)
+        a = np.array(ns, dtype=object)
+        parts.append(pd.DataFrame({center: c, "x": a[ii], "y": a[jj]}))
+    if not parts:
+        return pd.DataFrame({col: pd.Series(dtype="string")
+                             for col in (center, "x", "y")})
+    return pd.concat(parts, ignore_index=True)
+
+
 def _closed_wedges(edges: "ray.data.Dataset", deg: "ray.data.Dataset",
                    n_buckets: int, bucket_post) -> "ray.data.Dataset":
     """Degree-ordered wedge generation + closing-edge semi join over a
@@ -738,7 +767,7 @@ def _closed_wedges(edges: "ray.data.Dataset", deg: "ray.data.Dataset",
     import pandas as pd
 
     from ..aggregates import strip_schema_metadata
-    from ..joins import hash_join
+    from ..joins import bucket_groups, hash_join
 
     s_t, i_t = pa.string(), pa.int64()
     SEP = _TRI_SEP
@@ -767,37 +796,12 @@ def _closed_wedges(edges: "ray.data.Dataset", deg: "ray.data.Dataset",
                          right_types={"v": s_t, "deg_v": i_t},
                          bucket_post=orient)
 
-    def stamp_src_bucket(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        import zlib
-
-        h = np.array([zlib.crc32(s.encode()) % n_buckets
-                      for s in t.column("src").to_pylist()], dtype=np.int32)
-        return t.append_column("_bucket", pa.array(h, pa.int32()))
-
     def wedges_of_bucket(df: "pd.DataFrame") -> "pd.DataFrame":
-        parts = []
-        for src, g in df.groupby("src", sort=False):
-            ns = sorted(set(g["dst"]))
-            k = len(ns)
-            if k < 2:
-                continue
-            ii, jj = np.triu_indices(k, 1)
-            a = np.array(ns, dtype=object)
-            parts.append(pd.DataFrame({
-                "src": src, "x": a[ii], "y": a[jj]}))
-        if not parts:
-            return pd.DataFrame({"src": pd.Series(dtype="string"),
-                                 "x": pd.Series(dtype="string"),
-                                 "y": pd.Series(dtype="string"),
-                                 "pair": pd.Series(dtype="string")})
-        w = pd.concat(parts, ignore_index=True)
+        w = _neighbor_pairs(df, "src", "dst")
         w["pair"] = w["x"] + SEP + w["y"]
         return w
 
-    wedges = oriented.map_batches(
-        stamp_src_bucket, batch_format="pyarrow").groupby(
-        "_bucket").map_groups(wedges_of_bucket, batch_format="pandas")
+    wedges = bucket_groups(oriented, "src", n_buckets, wedges_of_bucket)
 
     def edge_pairs(t: pa.Table) -> pa.Table:
         t = strip_schema_metadata(t)
@@ -1026,11 +1030,7 @@ def predicate_stats(triples: "ray.data.Dataset",
     from ..joins import hash_join
 
     s_t, i_t = pa.string(), pa.int64()
-    edges = grouped_count(
-        triples.select_columns(["subj_norm", "pred", "obj_norm"]),
-        ["subj_norm", "pred", "obj_norm"], out_name="_c",
-        salt_buckets=salt_buckets
-    ).select_columns(["subj_norm", "pred", "obj_norm"]).materialize()
+    edges = _distinct_edges(triples, salt_buckets)
 
     n_edges = partial_final_agg(edges, ["pred"],
                                 [("n_edges", None, "count")])
@@ -1076,10 +1076,8 @@ def entity_kb(triples: "ray.data.Dataset", salt_buckets: int = 1,
     kernel does the degree fills, the top-pred argmax and the alias join in
     vectorized pandas (was: two per-reduce shuffles + four bucketed LEFT
     joins — 6 assembly shuffles → 1)."""
-    import numpy as np
-    import pandas as pd
-
     from ..aggregates import partial_final_agg, strip_schema_metadata
+    from ..joins import bucket_groups
 
     s_t, i_t = pa.string(), pa.int64()
     WIDE = pa.schema([("entity", s_t), ("n_mentions", i_t),
@@ -1136,10 +1134,7 @@ def entity_kb(triples: "ray.data.Dataset", salt_buckets: int = 1,
                          "n_mentions": t.column("n_mentions")}),
         batch_format="pyarrow")
 
-    edges = grouped_count(
-        tri.select_columns(["subj_norm", "pred", "obj_norm"]),
-        ["subj_norm", "pred", "obj_norm"], out_name="_c",
-        salt_buckets=salt_buckets).materialize()
+    edges = _distinct_edges(tri, salt_buckets)
     deg_out = partial_final_agg(
         edges.map_batches(
             lambda t: pa.table(
@@ -1182,15 +1177,6 @@ def entity_kb(triples: "ray.data.Dataset", salt_buckets: int = 1,
     # task), never one Ray group per entity — the entity vocabulary is
     # unbounded at web scale. Every row of one entity lands in one bucket,
     # so the argmax / alias join / degree fills are bucket-local.
-    def stamp_entity_bucket(t: pa.Table) -> pa.Table:
-        import zlib
-
-        t = strip_schema_metadata(t)
-        h = np.array([zlib.crc32(s.encode()) % n_buckets
-                      for s in t.column("entity").to_pylist()],
-                     dtype=np.int32)
-        return t.append_column("_bucket", pa.array(h, pa.int32()))
-
     def assemble(df: "pd.DataFrame") -> "pd.DataFrame":
         base = df.loc[df["n_mentions"].notna(), ["entity", "n_mentions"]]
         base = base.copy()
@@ -1224,9 +1210,7 @@ def entity_kb(triples: "ray.data.Dataset", salt_buckets: int = 1,
         return out[["entity", "n_mentions", "out_edges", "in_edges",
                     "top_pred", "aliases"]]
 
-    return union.map_batches(
-        stamp_entity_bucket, batch_format="pyarrow").groupby(
-        "_bucket").map_groups(assemble, batch_format="pandas")
+    return bucket_groups(union, "entity", n_buckets, assemble)
 
 
 def pred_path_counts(triples: "ray.data.Dataset", salt_buckets: int = 1,
@@ -1251,11 +1235,7 @@ def pred_path_counts(triples: "ray.data.Dataset", salt_buckets: int = 1,
     from ..joins import hash_join
 
     s_t = pa.string()
-    edges = grouped_count(
-        triples.select_columns(["subj_norm", "pred", "obj_norm"]),
-        ["subj_norm", "pred", "obj_norm"], out_name="_c",
-        salt_buckets=salt_buckets,
-    ).select_columns(["subj_norm", "pred", "obj_norm"]).materialize()
+    edges = _distinct_edges(triples, salt_buckets)
 
     into = edges.map_batches(
         lambda t: strip_schema_metadata(t).select(
@@ -1279,6 +1259,84 @@ def pred_path_counts(triples: "ray.data.Dataset", salt_buckets: int = 1,
                       bucket_post=pair_partials)
     return partial_final_agg(paths, ["pred_a", "pred_b"],
                              [("n_paths", "n_part", "sum")])
+
+
+def _common_neighbor_counts(edges: "ray.data.Dataset",
+                            max_center_degree: int, n_buckets: int,
+                            ra_scale: int | None = None):
+    """Wedge counts over a distinct undirected edge set (u, v): returns
+    ((x, y, common_neighbors[, ra_score]) for every pair x < y sharing a
+    neighbour center of degree <= `max_center_degree`, and the materialized
+    (c, deg) table of full degrees). Centers attach their degree through a
+    bucketed join; `bucket_groups` on the center then puts each center's
+    whole neighbourhood in one task, whose pair partials collapse before the
+    partial+final sum. With `ra_scale`, each shared center z also adds
+    floor(ra_scale / deg(z)) to `ra_score`."""
+    from ..aggregates import partial_final_agg, strip_schema_metadata
+    from ..joins import bucket_groups, hash_join
+
+    s_t, i_t = pa.string(), pa.int64()
+
+    def sym(t: pa.Table) -> pa.Table:
+        t = strip_schema_metadata(t)
+        u = t.column("u")
+        v = t.column("v")
+        typ = u.type
+        c = pa.chunked_array(list(u.chunks) + list(v.chunks), typ)
+        n = pa.chunked_array(list(v.chunks) + list(u.chunks), typ)
+        return pa.table({"c": c, "n": n})
+
+    adj = edges.map_batches(sym, batch_format="pyarrow")
+    deg = grouped_count(adj.select_columns(["c"]), ["c"],
+                        out_name="deg").materialize()
+
+    keep_cols = ["c", "n", "deg"] if ra_scale else ["c", "n"]
+
+    def keep_small(m: "pd.DataFrame") -> "pd.DataFrame":
+        return m.loc[m["deg"].to_numpy("int64") <= max_center_degree,
+                     keep_cols]
+
+    ok = hash_join(adj, deg, on="c", n_buckets=n_buckets,
+                   left_types={"c": s_t, "n": s_t},
+                   right_types={"c": s_t, "deg": i_t},
+                   bucket_post=keep_small)
+
+    def pair_partials(df: "pd.DataFrame") -> "pd.DataFrame":
+        w = _neighbor_pairs(df, "c", "n")
+        if ra_scale:
+            deg_of = df.groupby("c", sort=False)["deg"].first()
+            w["w"] = ra_scale // w["c"].map(deg_of).astype("int64")
+        g = w.groupby(["x", "y"], sort=False)
+        out = g.size().rename("n_part").reset_index()
+        if ra_scale:
+            out["w_part"] = g["w"].sum().to_numpy("int64")
+        return out
+
+    aggs = [("common_neighbors", "n_part", "sum")]
+    if ra_scale:
+        aggs.append(("ra_score", "w_part", "sum"))
+    cand = partial_final_agg(bucket_groups(ok, "c", n_buckets, pair_partials),
+                             ["x", "y"], aggs)
+    return cand, deg
+
+
+def _edge_marks(edges: "ray.data.Dataset") -> "ray.data.Dataset":
+    """(pair, _edge=1.0) per distinct undirected edge, `pair` joined like
+    the candidate pairs: the right side of an existing-edge LEFT join."""
+    import numpy as np
+
+    from ..aggregates import strip_schema_metadata
+
+    def marks(t: pa.Table) -> pa.Table:
+        t = strip_schema_metadata(t)
+        pair = pc.binary_join_element_wise(
+            t.column("u").cast(pa.string()),
+            t.column("v").cast(pa.string()), _TRI_SEP)
+        return pa.table({
+            "pair": pair,
+            "_edge": pa.array(np.ones(t.num_rows), pa.float64())})
+
+    return edges.map_batches(marks, batch_format="pyarrow")
 
 
 def link_prediction(triples: "ray.data.Dataset", max_center_degree: int = 64,
@@ -1312,89 +1370,14 @@ def link_prediction(triples: "ray.data.Dataset", max_center_degree: int = 64,
     integer SQL (no libm in the hash path). Degrees are the UNCAPPED
     distinct-graph degrees; only centers passing `max_center_degree`
     generate wedges (identical contract to common_neighbors)."""
-    import numpy as np
-    import pandas as pd
-
-    from ..aggregates import partial_final_agg, strip_schema_metadata
+    from ..aggregates import strip_schema_metadata
     from ..joins import hash_join
 
     s_t, i_t = pa.string(), pa.int64()
-    SEP = "\x1f"
 
     edges = _undirected_edges(triples, salt_buckets)
-
-    def sym(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        u = t.column("u")
-        v = t.column("v")
-        typ = u.type
-        c = pa.chunked_array(list(u.chunks) + list(v.chunks), typ)
-        n = pa.chunked_array(list(v.chunks) + list(u.chunks), typ)
-        return pa.table({"c": c, "n": n})
-
-    adj = edges.map_batches(sym, batch_format="pyarrow")
-    deg = grouped_count(adj.select_columns(["c"]), ["c"], out_name="deg")
-
-    keep_cols = ["c", "n", "deg"] if ra_scale else ["c", "n"]
-
-    def keep_small(m: "pd.DataFrame") -> "pd.DataFrame":
-        return m.loc[m["deg"].to_numpy("int64") <= max_center_degree,
-                     keep_cols]
-
-    ok = hash_join(adj, deg, on="c", n_buckets=n_buckets,
-                   left_types={"c": s_t, "n": s_t},
-                   right_types={"c": s_t, "deg": i_t},
-                   bucket_post=keep_small)
-
-    def stamp_center_bucket(t: pa.Table) -> pa.Table:
-        import zlib
-
-        t = strip_schema_metadata(t)
-        h = np.array([zlib.crc32(s.encode()) % n_buckets
-                      for s in t.column("c").to_pylist()], dtype=np.int32)
-        return t.append_column("_bucket", pa.array(h, pa.int32()))
-
-    def pair_partials(df: "pd.DataFrame") -> "pd.DataFrame":
-        parts = []
-        for c, g in df.groupby("c", sort=False):
-            ns = sorted(set(g["n"]))
-            k = len(ns)
-            if k < 2:
-                continue
-            ii, jj = np.triu_indices(k, 1)
-            a = np.array(ns, dtype=object)
-            part = pd.DataFrame({"x": a[ii], "y": a[jj]})
-            if ra_scale:
-                part["w"] = ra_scale // int(g["deg"].iloc[0])
-            parts.append(part)
-        if not parts:
-            cols = {"x": pd.Series(dtype="string"),
-                    "y": pd.Series(dtype="string"),
-                    "n_part": pd.Series(dtype="int64")}
-            if ra_scale:
-                cols["w_part"] = pd.Series(dtype="int64")
-            return pd.DataFrame(cols)
-        w = pd.concat(parts, ignore_index=True)
-        if ra_scale:
-            gg = w.groupby(["x", "y"], sort=False)["w"].agg(["size", "sum"])
-            idx = gg.index.to_frame(index=False)
-            return pd.DataFrame({"x": idx["x"].to_numpy(object),
-                                 "y": idx["y"].to_numpy(object),
-                                 "n_part": gg["size"].to_numpy("int64"),
-                                 "w_part": gg["sum"].to_numpy("int64")})
-        vc = w.groupby(["x", "y"], sort=False).size()
-        idx = vc.index.to_frame(index=False)
-        return pd.DataFrame({"x": idx["x"].to_numpy(object),
-                             "y": idx["y"].to_numpy(object),
-                             "n_part": vc.to_numpy("int64")})
-
-    aggs = [("common_neighbors", "n_part", "sum")]
-    if ra_scale:
-        aggs.append(("ra_score", "w_part", "sum"))
-    cand = partial_final_agg(
-        ok.map_batches(stamp_center_bucket, batch_format="pyarrow").groupby(
-            "_bucket").map_groups(pair_partials, batch_format="pandas"),
-        ["x", "y"], aggs)
+    cand, _ = _common_neighbor_counts(edges, max_center_degree, n_buckets,
+                                      ra_scale)
 
     def keep_min(t: pa.Table) -> pa.Table:
         t = strip_schema_metadata(t)
@@ -1402,21 +1385,12 @@ def link_prediction(triples: "ray.data.Dataset", max_center_degree: int = 64,
                                       min_common))
         pair = pc.binary_join_element_wise(
             t.column("x").cast(pa.string()),
-            t.column("y").cast(pa.string()), SEP)
+            t.column("y").cast(pa.string()), _TRI_SEP)
         return t.append_column("pair", pair)
 
     cand = cand.map_batches(keep_min, batch_format="pyarrow")
 
-    def edge_marks(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        pair = pc.binary_join_element_wise(
-            t.column("u").cast(pa.string()),
-            t.column("v").cast(pa.string()), SEP)
-        return pa.table({
-            "pair": pair,
-            "_edge": pa.array(np.ones(t.num_rows), pa.float64())})
-
-    marks = edges.map_batches(edge_marks, batch_format="pyarrow")
+    marks = _edge_marks(edges)
 
     out_cols = ["x", "y", "common_neighbors"] + (
         ["ra_score"] if ra_scale else [])
@@ -1461,72 +1435,15 @@ def neighborhood_jaccard(triples: "ray.data.Dataset",
     trade at web scale). Degrees and the edge flag attach via three
     bucketed hash joins; the Jaccard arithmetic is exact int64 so any
     partitioning hash-matches the oracle."""
-    import numpy as np
     import pandas as pd
 
-    from ..aggregates import partial_final_agg, strip_schema_metadata
+    from ..aggregates import strip_schema_metadata
     from ..joins import hash_join
 
     s_t, i_t = pa.string(), pa.int64()
-    SEP = "\x1f"
 
     edges = _undirected_edges(triples, salt_buckets)
-
-    def sym(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        u = t.column("u")
-        v = t.column("v")
-        typ = u.type
-        c = pa.chunked_array(list(u.chunks) + list(v.chunks), typ)
-        n = pa.chunked_array(list(v.chunks) + list(u.chunks), typ)
-        return pa.table({"c": c, "n": n})
-
-    adj = edges.map_batches(sym, batch_format="pyarrow")
-    deg = grouped_count(adj.select_columns(["c"]), ["c"],
-                        out_name="deg").materialize()
-
-    def keep_small(m: "pd.DataFrame") -> "pd.DataFrame":
-        return m.loc[m["deg"].to_numpy("int64") <= max_center_degree,
-                     ["c", "n"]]
-
-    ok = hash_join(adj, deg, on="c", n_buckets=n_buckets,
-                   left_types={"c": s_t, "n": s_t},
-                   right_types={"c": s_t, "deg": i_t},
-                   bucket_post=keep_small)
-
-    def stamp_center_bucket(t: pa.Table) -> pa.Table:
-        import zlib
-
-        t = strip_schema_metadata(t)
-        h = np.array([zlib.crc32(s.encode()) % n_buckets
-                      for s in t.column("c").to_pylist()], dtype=np.int32)
-        return t.append_column("_bucket", pa.array(h, pa.int32()))
-
-    def pair_partials(df: "pd.DataFrame") -> "pd.DataFrame":
-        parts = []
-        for _, g in df.groupby("c", sort=False):
-            ns = sorted(set(g["n"]))
-            k = len(ns)
-            if k < 2:
-                continue
-            ii, jj = np.triu_indices(k, 1)
-            a = np.array(ns, dtype=object)
-            parts.append(pd.DataFrame({"x": a[ii], "y": a[jj]}))
-        if not parts:
-            return pd.DataFrame({"x": pd.Series(dtype="string"),
-                                 "y": pd.Series(dtype="string"),
-                                 "n_part": pd.Series(dtype="int64")})
-        w = pd.concat(parts, ignore_index=True)
-        vc = w.groupby(["x", "y"], sort=False).size()
-        idx = vc.index.to_frame(index=False)
-        return pd.DataFrame({"x": idx["x"].to_numpy(object),
-                             "y": idx["y"].to_numpy(object),
-                             "n_part": vc.to_numpy("int64")})
-
-    cand = partial_final_agg(
-        ok.map_batches(stamp_center_bucket, batch_format="pyarrow").groupby(
-            "_bucket").map_groups(pair_partials, batch_format="pandas"),
-        ["x", "y"], [("common_neighbors", "n_part", "sum")])
+    cand, deg = _common_neighbor_counts(edges, max_center_degree, n_buckets)
 
     def keep_min(t: pa.Table) -> pa.Table:
         t = strip_schema_metadata(t)
@@ -1561,19 +1478,10 @@ def neighborhood_jaccard(triples: "ray.data.Dataset",
         t = strip_schema_metadata(t)
         pair = pc.binary_join_element_wise(
             t.column("x").cast(pa.string()),
-            t.column("y").cast(pa.string()), SEP)
+            t.column("y").cast(pa.string()), _TRI_SEP)
         return t.append_column("pair", pair)
 
-    def edge_marks(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        pair = pc.binary_join_element_wise(
-            t.column("u").cast(pa.string()),
-            t.column("v").cast(pa.string()), SEP)
-        return pa.table({
-            "pair": pair,
-            "_edge": pa.array(np.ones(t.num_rows), pa.float64())})
-
-    marks = edges.map_batches(edge_marks, batch_format="pyarrow")
+    marks = _edge_marks(edges)
 
     def score_post(df: "pd.DataFrame") -> "pd.DataFrame":
         c = df["common_neighbors"].to_numpy("int64")
@@ -1630,10 +1538,7 @@ def negative_samples(triples: "ray.data.Dataset", k: int = 2,
     s_t, i_t = pa.string(), pa.int64()
     SEP = "\x1f"
 
-    edges = grouped_count(
-        triples.select_columns(["subj_norm", "pred", "obj_norm"]),
-        ["subj_norm", "pred", "obj_norm"], out_name="_c"
-    ).select_columns(["subj_norm", "pred", "obj_norm"]).materialize()
+    edges = _distinct_edges(triples)
 
     def ents(t: pa.Table) -> pa.Table:
         t = strip_schema_metadata(t)
@@ -1734,11 +1639,7 @@ def inverse_predicates(triples: "ray.data.Dataset", scale: int = 10_000,
     s_t, i_t = pa.string(), pa.int64()
     SEP = "\x1f"
 
-    edges = grouped_count(
-        triples.select_columns(["subj_norm", "pred", "obj_norm"]),
-        ["subj_norm", "pred", "obj_norm"], out_name="_c",
-        salt_buckets=salt_buckets,
-    ).select_columns(["subj_norm", "pred", "obj_norm"]).materialize()
+    edges = _distinct_edges(triples, salt_buckets)
 
     def fwd(t: pa.Table) -> pa.Table:
         t = strip_schema_metadata(t)
@@ -1826,11 +1727,7 @@ def rule_mining(triples: "ray.data.Dataset", max_mid_degree: int = 64,
     s_t, i_t = pa.string(), pa.int64()
     SEP = "\x1f"
 
-    edges = grouped_count(
-        triples.select_columns(["subj_norm", "pred", "obj_norm"]),
-        ["subj_norm", "pred", "obj_norm"], out_name="_c",
-        salt_buckets=salt_buckets,
-    ).select_columns(["subj_norm", "pred", "obj_norm"]).materialize()
+    edges = _distinct_edges(triples, salt_buckets)
 
     import numpy as np
 
@@ -1997,11 +1894,7 @@ def domain_range_signatures(triples: "ray.data.Dataset",
 
     s_t, i_t = pa.string(), pa.int64()
 
-    edges = grouped_count(
-        triples.select_columns(["subj_norm", "pred", "obj_norm"]),
-        ["subj_norm", "pred", "obj_norm"], out_name="_c",
-        salt_buckets=salt_buckets,
-    ).select_columns(["subj_norm", "pred", "obj_norm"]).materialize()
+    edges = _distinct_edges(triples, salt_buckets)
 
     t_subj = types.map_batches(
         lambda t: strip_schema_metadata(t).select(
@@ -2094,11 +1987,7 @@ def redundant_edges(triples: "ray.data.Dataset", max_mid_degree: int = 64,
     s_t = pa.string()
     SEP = "\x1f"
 
-    edges = grouped_count(
-        triples.select_columns(["subj_norm", "pred", "obj_norm"]),
-        ["subj_norm", "pred", "obj_norm"], out_name="_c",
-        salt_buckets=salt_buckets,
-    ).select_columns(["subj_norm", "pred", "obj_norm"]).materialize()
+    edges = _distinct_edges(triples, salt_buckets)
 
     def legs(t: pa.Table) -> pa.Table:
         # non-loop edges only — a self-loop leg would make every incident
@@ -2232,23 +2121,15 @@ def functional_repair(triples: "ray.data.Dataset",
     (subj, pred, obj)), one shrinking per-(subj, pred) count attached via
     the same coarse-bucket reduce that picks the argmax row — the
     `argmax_per_key` pattern with the contest size computed in-bucket."""
-    import numpy as np
-    import pandas as pd
+    from ..joins import bucket_groups
 
     support = grouped_count(
         triples.select_columns(["subj_norm", "pred", "obj_norm"]),
         ["subj_norm", "pred", "obj_norm"], out_name="support",
         salt_buckets=salt_buckets)
 
-    def stamp(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df.copy()
-        key = df["subj_norm"].astype(str) + "\x1f" + df["pred"].astype(str)
-        h = pd.util.hash_pandas_object(key, index=False).to_numpy()
-        df["_fb"] = (h % np.uint64(n_buckets)).astype("int64")
-        return df
-
     def per_bucket(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df.drop(columns=["_fb"]).sort_values(
+        df = df.sort_values(
             ["subj_norm", "pred", "support", "obj_norm"],
             ascending=[True, True, False, True], kind="mergesort")
         g = df.groupby(["subj_norm", "pred"], sort=False)
@@ -2258,10 +2139,8 @@ def functional_repair(triples: "ray.data.Dataset",
         win["support"] = win["support"].astype("int64")
         return win[["subj_norm", "pred", "obj_norm", "support", "n_objs"]]
 
-    import numpy as np
-
-    return (support.map_batches(stamp, batch_format="pandas")
-            .groupby("_fb").map_groups(per_bucket, batch_format="pandas"))
+    return bucket_groups(support, ["subj_norm", "pred"], n_buckets,
+                         per_bucket)
 
 
 def _hash_embeddings(names, dim: int, seed: int, salt: int):
@@ -2313,10 +2192,7 @@ def transe_eval(triples: "ray.data.Dataset", dim: int = 16, k_neg: int = 32,
 
     SEP = "\x1f"
 
-    edges = grouped_count(
-        triples.select_columns(["subj_norm", "pred", "obj_norm"]),
-        ["subj_norm", "pred", "obj_norm"], out_name="_c"
-    ).select_columns(["subj_norm", "pred", "obj_norm"]).materialize()
+    edges = _distinct_edges(triples)
 
     def ents(t: pa.Table) -> pa.Table:
         t = strip_schema_metadata(t)

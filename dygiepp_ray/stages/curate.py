@@ -308,11 +308,12 @@ def keep_best(ds: "ray.data.Dataset", key_col: str, score_col: str,
 
     Output: (key_col, keep_id, score, n_copies).
 
-    Shape: per-block partial argmax+count (vectorized pandas), then a single
-    coarse-bucket shuffle (`splitmix-free: pandas util hash % n_buckets`) and
-    a vectorized final reduce per bucket — groups-per-Ray-task stays at
+    Shape: per-block partial argmax+count (vectorized pandas), then
+    `joins.bucket_groups` on the key (ONE coarse-bucket shuffle) and a
+    vectorized final reduce per bucket — groups-per-Ray-task stays at
     n_buckets regardless of key cardinality.
     """
+    from ..joins import bucket_groups
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         # (the vectorized path below is total on empty input: dtypes are
@@ -324,10 +325,6 @@ def keep_best(ds: "ray.data.Dataset", key_col: str, score_col: str,
         counts = d.groupby(key_col, sort=False).size().rename("n_copies")
         best = d.drop_duplicates(key_col, keep="first")
         out = best.merge(counts, left_on=key_col, right_index=True)
-        out["bucket"] = (
-            pd.util.hash_pandas_object(out[key_col], index=False).to_numpy()
-            % n_buckets
-        ).astype("int64")
         return out.reset_index(drop=True)
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
@@ -335,12 +332,12 @@ def keep_best(ds: "ray.data.Dataset", key_col: str, score_col: str,
                            kind="mergesort")
         counts = d.groupby(key_col, sort=False)["n_copies"].sum()
         best = d.drop_duplicates(key_col, keep="first").drop(
-            columns=["n_copies", "bucket"])
+            columns=["n_copies"])
         out = best.merge(counts, left_on=key_col, right_index=True)
         return out.reset_index(drop=True)
 
     partials = ds.map_batches(partial, batch_format="pandas")
-    return partials.groupby("bucket").map_groups(final, batch_format="pandas")
+    return bucket_groups(partials, key_col, n_buckets, final)
 
 
 # ---------------------------------------------------------- neardup_clusters

@@ -230,35 +230,15 @@ def minhash_bands(sig_df: pd.DataFrame, n_bands: int, id_col: str = "doc_id") ->
                          id_col: np.repeat(sig_df[id_col].to_numpy(), n_bands)})
 
 
-def _pair_bucket_stamp(n_buckets: int):
-    """Vectorized (id_a, id_b) -> coarse bucket for the cross-band pair
-    dedup shuffle."""
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            df["_pb"] = pd.array([], dtype="int32")
-            return df
-        ha = pd.util.hash_pandas_object(df["id_a"], index=False).to_numpy()
-        hb = pd.util.hash_pandas_object(df["id_b"], index=False).to_numpy()
-        df["_pb"] = (((ha * np.uint64(0x9E3779B9)) ^ hb) % np.uint64(n_buckets)).astype("int32")
-        return df
-
-    return fn
-
-
 def _dedup_pairs(pairs: "ray.data.Dataset", n_buckets: int = 64) -> "ray.data.Dataset":
-    """Global (id_a, id_b) dedup: coarse-bucket shuffle + vectorized
+    """Global (id_a, id_b) dedup: `bucket_groups` on the pair + vectorized
     per-bucket drop_duplicates (duplicate pair rows are identical by
     construction, so keeping any one is exact)."""
+    from ..joins import bucket_groups
 
-    def dedup_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(subset=["id_a", "id_b"]).drop(columns=["_pb"])
-
-    return (
-        pairs.map_batches(_pair_bucket_stamp(n_buckets), batch_format="pandas")
-        .groupby("_pb")
-        .map_groups(dedup_bucket, batch_format="pandas")
-    )
+    return bucket_groups(
+        pairs, ["id_a", "id_b"], n_buckets,
+        lambda df: df.drop_duplicates(subset=["id_a", "id_b"]))
 
 
 def minhash_lsh_pairs(docs: "ray.data.Dataset", n_perm: int = 64, n_bands: int = 16,

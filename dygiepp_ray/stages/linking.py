@@ -328,6 +328,7 @@ def edit1_name_pairs(names: "ray.data.Dataset", name_col: str = "name",
     caps degenerate keys (e.g. the empty-ish variants of very short names;
     dropped groups are an explicit contract knob like substring_dup_pairs'
     max_df — with min_len=2 no real key approaches it)."""
+    from ..joins import bucket_groups
     from .dedup import _dedup_pairs
 
     def variants(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -345,12 +346,6 @@ def edit1_name_pairs(names: "ray.data.Dataset", name_col: str = "name",
 
     var = names.map_batches(variants, batch_format="pandas")
 
-    def stamp(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df.copy()
-        h = pd.util.hash_pandas_object(df["vkey"], index=False).to_numpy()
-        df["_bucket"] = (h % np.uint64(n_buckets)).astype("int64")
-        return df
-
     def verify_bucket(df: "pd.DataFrame") -> "pd.DataFrame":
         df = df[df["vkey"].duplicated(keep=False)]
         out_a, out_b = [], []
@@ -366,9 +361,8 @@ def edit1_name_pairs(names: "ray.data.Dataset", name_col: str = "name",
         return pd.DataFrame({"id_a": pd.array(out_a, dtype="string"),
                              "id_b": pd.array(out_b, dtype="string")})
 
-    pairs = var.map_batches(stamp, batch_format="pandas").groupby(
-        "_bucket").map_groups(verify_bucket, batch_format="pandas")
-    return _dedup_pairs(pairs, n_buckets)
+    return _dedup_pairs(bucket_groups(var, "vkey", n_buckets, verify_bucket),
+                        n_buckets)
 
 
 def alias_type_conflicts(triples: "ray.data.Dataset",
@@ -399,7 +393,7 @@ def alias_type_conflicts(triples: "ray.data.Dataset",
     import pyarrow as pa
 
     from ..aggregates import grouped_count, strip_schema_metadata
-    from ..joins import hash_join
+    from ..joins import bucket_groups, hash_join
     from .graph import connected_components
 
     s_t = pa.string()
@@ -450,15 +444,6 @@ def alias_type_conflicts(triples: "ray.data.Dataset",
                     left_types={"name": s_t, "component": s_t},
                     right_types={"name": s_t, "etype": s_t})
 
-    def stamp_comp_bucket(t: pa.Table) -> pa.Table:
-        import zlib
-
-        t = strip_schema_metadata(t)
-        h = np.array([zlib.crc32(s.encode()) % n_buckets
-                      for s in t.column("component").to_pylist()],
-                     dtype=np.int32)
-        return t.append_column("_cb", pa.array(h, pa.int32()))
-
     def comp_reduce(df: "pd.DataFrame") -> "pd.DataFrame":
         rows = []
         for comp, g in df.groupby("component", sort=False):
@@ -479,8 +464,7 @@ def alias_type_conflicts(triples: "ray.data.Dataset",
         out["n_types"] = out["n_types"].astype("int64")
         return out
 
-    return (mem.map_batches(stamp_comp_bucket, batch_format="pyarrow")
-            .groupby("_cb").map_groups(comp_reduce, batch_format="pandas"))
+    return bucket_groups(mem, "component", n_buckets, comp_reduce)
 
 
 def alias_blocking_recall(triples: "ray.data.Dataset",

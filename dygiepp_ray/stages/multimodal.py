@@ -220,12 +220,13 @@ def payload_neardup_pairs(media: "ray.data.Dataset", max_hamming: int = 3,
         raise ValueError("banding is lossless only for "
                          "max_hamming <= n_bands - 1")
     from ..aggregates import partial_final_agg
+    from ..joins import bucket_groups
     from .dedup import _popcount_u64
 
     band_bits = 64 // n_bands
     mask = np.uint64((1 << band_bits) - 1)
 
-    def stamp(df: pd.DataFrame) -> pd.DataFrame:
+    def band_rows(df: pd.DataFrame) -> pd.DataFrame:
         sigs = np.array([payload_simhash(p) for p in df["payload"]],
                         dtype=np.uint64)
         parts = []
@@ -236,16 +237,10 @@ def payload_neardup_pairs(media: "ray.data.Dataset", max_hamming: int = 3,
                 "band_val": bv.astype("int64"),
                 "media_id": df["media_id"].to_numpy(object),
                 "sig": sigs.astype("int64")}))
-        out = pd.concat(parts, ignore_index=True)
-        # coarse bucket on the (band, value) key — ONE shuffle, the
-        # in-bucket kernel iterates its exact band groups
-        h = pd.util.hash_pandas_object(out[["band_ix", "band_val"]],
-                                       index=False).to_numpy()
-        out["_bucket"] = (h % np.uint64(64)).astype("int64")
-        return out
+        return pd.concat(parts, ignore_index=True)
 
     bands = media.select_columns(["media_id", "payload"]).map_batches(
-        stamp, batch_format="pandas")
+        band_rows, batch_format="pandas")
 
     def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
         out = []
@@ -268,8 +263,9 @@ def payload_neardup_pairs(media: "ray.data.Dataset", max_hamming: int = 3,
                                  "hamming": pd.Series(dtype="int64")})
         return pd.concat(out, ignore_index=True)
 
-    pairs = bands.groupby("_bucket").map_groups(
-        bucket_pairs, batch_format="pandas")
+    # coarse bucket on the (band, value) key — ONE shuffle, the in-bucket
+    # kernel iterates its exact band groups
+    pairs = bucket_groups(bands, ["band_ix", "band_val"], 64, bucket_pairs)
     # a pair found in several bands collapses to one row (hamming is a
     # function of the pair, min == the value)
     return partial_final_agg(pairs, ["id_a", "id_b"],

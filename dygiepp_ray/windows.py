@@ -4,15 +4,18 @@ idiom used by top-N-per-key, sessionization, running aggregates).
 Ray Data has no native OVER(PARTITION BY … ORDER BY …). The naive shape —
 `groupby(partition_key).map_groups(fn)` — shuffles on the FINE key and pays
 one Ray group + one pandas frame per key; with near-unique keys (customers,
-users) that is per-group overhead on millions of tiny groups. The portable
-scale shape used here instead (the same coarse-bucket trick as the LSH
-pair stages): ONE shuffle on `hash(partition_key) % n_buckets`, then inside
-each bucket a single sort by (keys, order) followed by a VECTORIZED
-segment kernel (`groupby(...).cumcount/cumsum/diff` — cython, no per-group
-Python). Key skew note: every row of one partition key lands in one bucket
-by construction (order within a partition must be global), so a single
-giant partition is still the caller's skew to solve — pre-aggregate or
-salt by a secondary key when order within the salt is still correct.
+users) that is per-group overhead on millions of tiny groups. The window
+functions here run on `joins.bucket_groups` instead: ONE shuffle on
+`hash(partition_key) % n_buckets`, then inside each bucket a single sort by
+(keys, order) followed by a VECTORIZED segment kernel
+(`groupby(...).cumcount/cumsum/diff` — cython, no per-group Python). Key
+skew note: every row of one partition key lands in one bucket by
+construction (order within a partition must be global), so a single giant
+partition is still the caller's skew to solve — pre-aggregate or salt by a
+secondary key when order within the salt is still correct.
+
+The banded range-window operators at the bottom (`_band` keys) shuffle on
+their band value and are not keyed-bucket shuffles.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ import pandas as pd
 
 import ray.data
 
+from .joins import bucket_groups
+
 
 def _as_list(x) -> list:
     return [x] if isinstance(x, str) else list(x)
@@ -32,27 +37,18 @@ def _as_list(x) -> list:
 def _bucketed(ds: "ray.data.Dataset", keys: list[str], order: list[str],
               ascending, kernel: Callable[[pd.DataFrame, list[str]], pd.DataFrame],
               n_buckets: int) -> "ray.data.Dataset":
-    """Stamp hash(keys) % n_buckets, shuffle ONCE on the coarse bucket, then
-    sort each bucket by (keys, order) and run `kernel(sorted_df, keys)`.
-    `pd.util.hash_pandas_object` is deterministic across processes (fixed
-    default hash key), so the bucket assignment is stable."""
+    """`joins.bucket_groups` on hash(keys) % n_buckets, then sort each
+    bucket by (keys, order) and run `kernel(sorted_df, keys)`."""
     asc = [ascending] * len(order) if isinstance(ascending, bool) else list(ascending)
     if len(asc) != len(order):
         raise ValueError("ascending must be a bool or match order_by length")
 
-    def stamp(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        h = pd.util.hash_pandas_object(df[keys], index=False).to_numpy()
-        df["_wb"] = (h % np.uint64(n_buckets)).astype("int64")
-        return df
-
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns=["_wb"]).sort_values(
+        df = df.sort_values(
             keys + order, ascending=[True] * len(keys) + asc, kind="mergesort")
         return kernel(df, keys)
 
-    return (ds.map_batches(stamp, batch_format="pandas")
-            .groupby("_wb").map_groups(per_bucket, batch_format="pandas"))
+    return bucket_groups(ds, keys, n_buckets, per_bucket)
 
 
 def window(ds: "ray.data.Dataset", partition_by: str | list[str],

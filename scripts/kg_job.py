@@ -31,7 +31,7 @@ def main() -> None:
     ap.add_argument("--output", required=True, help="triple-table output dir")
     ap.add_argument("--buckets", type=int, default=64)
     ap.add_argument("--concurrency", type=int, default=0,
-                    help="kernel actors (0 = cpus-2)")
+                    help="concurrent extraction tasks (0 = cpus-2)")
     ap.add_argument("--batch-size", type=int, default=256)
     ap.add_argument("--no-resume", action="store_true")
     ap.add_argument("--counts", action="store_true",
@@ -57,7 +57,7 @@ def main() -> None:
 
     t0 = time.time()
     res = build_kg(args.input, args.output, n_buckets=args.buckets,
-                   resume=not args.no_resume, concurrency=(conc, conc),
+                   resume=not args.no_resume, concurrency=conc,
                    batch_size=args.batch_size)
     out = {
         "written_buckets": len(res["written_buckets"]),

@@ -73,7 +73,7 @@ def main() -> None:
 
     shutil.rmtree(OUT, ignore_errors=True)
     t0 = time.time()
-    first = build_kg(CORPUS, OUT, n_buckets=32, concurrency=(4, 30),
+    first = build_kg(CORPUS, OUT, n_buckets=32, concurrency=30,
                      batch_size=256, entity_lexicon=lex)
     res["build_kg_sec"] = round(time.time() - t0, 1)
     res["build_written_buckets"] = len(first["written_buckets"])
@@ -87,7 +87,7 @@ def main() -> None:
     res["triples_per_sec"] = round(rows / res["build_kg_sec"], 1)
 
     t0 = time.time()
-    second = build_kg(CORPUS, OUT, n_buckets=32, concurrency=(4, 30),
+    second = build_kg(CORPUS, OUT, n_buckets=32, concurrency=30,
                       batch_size=256, entity_lexicon=lex)
     res["resume_sec"] = round(time.time() - t0, 1)
     res["resume_written"] = len(second["written_buckets"])  # must be 0

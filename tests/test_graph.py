@@ -370,6 +370,37 @@ def test_entity_kb_golden():
     assert got.loc["dog", "aliases"] == "Dog|a dog"
 
 
+def test_entity_kb_int_columns_survive_mostly_empty_blocks():
+    """Nine of ten input blocks come out of an upstream pandas filter EMPTY.
+    Empty blocks skip every UDF and reach the shuffles as pandas blocks, and
+    the five-way union pads the int columns with nulls; the per-entity
+    counts must still come out int64 and equal the unfiltered result."""
+    import numpy as np
+
+    from dygiepp_ray.pipelines.kg import entity_kb
+
+    rng = np.random.default_rng(11)
+    ents = [f"e{i}" for i in range(30)]
+    n = 200
+    s, o = rng.choice(ents, n), rng.choice(ents, n)
+    tri = pd.DataFrame({"subj": [x.upper() for x in s],
+                        "pred": rng.choice(["R", "S", "T"], n),
+                        "obj": [x.upper() for x in o],
+                        "subj_norm": s, "obj_norm": o})
+    filler = pd.concat([tri.assign(pred="drop")] * 9, ignore_index=True)
+    filtered = ray.data.from_pandas(
+        pd.concat([tri, filler], ignore_index=True)).repartition(10) \
+        .map_batches(lambda df: df[df["pred"] != "drop"], batch_format="pandas")
+    got = entity_kb(filtered, n_buckets=4).to_pandas()
+    exp = entity_kb(ray.data.from_pandas(tri), n_buckets=4).to_pandas()
+    for col in ("n_mentions", "out_edges", "in_edges"):
+        assert str(got[col].dtype) == "int64", col
+    key = ["entity"]
+    pd.testing.assert_frame_equal(
+        got.sort_values(key).reset_index(drop=True),
+        exp.sort_values(key).reset_index(drop=True))
+
+
 # --------------------------------- link prediction / pred paths / BFS dist
 
 

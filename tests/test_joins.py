@@ -1,4 +1,4 @@
-"""Join operators vs pandas oracles."""
+"""Join operators and the keyed-bucket group-apply vs pandas oracles."""
 
 import numpy as np
 import pandas as pd
@@ -6,8 +6,9 @@ import pytest
 
 import ray.data
 
-from dygiepp_ray.joins import (asof_join, broadcast_lookup, hash_join,
-                               interval_join, skew_join, zip_join_assert)
+from dygiepp_ray.joins import (asof_join, broadcast_lookup, bucket_groups,
+                               hash_join, interval_join, skew_join,
+                               zip_join_assert)
 
 
 @pytest.fixture(scope="module")
@@ -245,3 +246,106 @@ def test_skew_join_hot_keys_supplied_and_multirow_right():
            .sort_values(["k", "lv", "rv"]).reset_index(drop=True))
     pd.testing.assert_frame_equal(got, exp, check_dtype=False)
     assert (got["k"] == 7).sum() == (keys == 7).sum() * 3
+
+
+def _per_call_sums(keys: list[str]):
+    """A `bucket_groups` fn: one row per key it sees, flagged with whether
+    the frame carried `_bucket`."""
+
+    def fn(df: pd.DataFrame) -> pd.DataFrame:
+        out = df.groupby(keys, dropna=False, as_index=False).agg(
+            v=("v", "sum"), n=("v", "size"))
+        out["saw_bucket"] = "_bucket" in df.columns
+        for k in keys:  # null int keys come out float; one dtype for all
+            if out[k].dtype.kind in "if":
+                out[k] = out[k].astype("Int64")
+        return out
+
+    return fn
+
+
+def _check_bucket_groups(ds, keys: list[str], frames: list[pd.DataFrame]):
+    got = bucket_groups(ds, keys, 4, _per_call_sums(keys)).to_pandas()
+    assert not got["saw_bucket"].any()
+    # a key that reached two fn calls would come out once per call
+    assert not got.duplicated(keys).any()
+    ref = pd.concat(frames, ignore_index=True)
+    for k in keys:
+        if ref[k].dtype.kind in "if":
+            ref[k] = ref[k].astype("Int64")
+    exp = ref.groupby(keys, dropna=False, as_index=False).agg(
+        v=("v", "sum"), n=("v", "size"))
+    got = got[[*keys, "v", "n"]].sort_values(keys).reset_index(drop=True)
+    exp = exp.sort_values(keys).reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, exp, check_dtype=False)
+
+
+def test_bucket_groups_int32_and_int64_blocks_of_one_key():
+    """A negative key hashes differently as int32 and as int64 in pandas;
+    the stamp casts first, so both copies reach one call."""
+    keys = np.r_[np.arange(-40, 0), -7, -7]
+    a = pd.DataFrame({"k": keys.astype("int32"), "v": np.arange(42)})
+    b = pd.DataFrame({"k": keys.astype("int64"), "v": np.arange(42) * 10})
+    ds = ray.data.from_pandas(a).union(ray.data.from_pandas(b))
+    _check_bucket_groups(ds, ["k"], [a, b])
+
+
+def test_bucket_groups_int_key_with_nulls_in_some_blocks():
+    frames = [pd.DataFrame({"k": pd.array([1, 2, None, 3, None], "Int64"),
+                            "v": np.arange(5)}),
+              pd.DataFrame({"k": pd.array([1, 2, 3, 4], "Int64"),
+                            "v": np.arange(4) * 10}),
+              pd.DataFrame({"k": pd.array([4, 5], "Int64"), "v": [7, 8]})]
+    _check_bucket_groups(ray.data.from_pandas(frames), ["k"], frames)
+
+
+def test_bucket_groups_multi_column_key():
+    rng = np.random.default_rng(3)
+    frames = [pd.DataFrame({"a": rng.choice(["x", "y", "z"], 300),
+                            "b": rng.integers(0, 20, 300),
+                            "v": rng.integers(0, 100, 300)})
+              for _ in range(3)]
+    _check_bucket_groups(ray.data.from_pandas(frames), ["a", "b"], frames)
+
+
+def test_bucket_groups_empty_input():
+    """No rows, so no key and no `fn` call: the output is empty, as is the
+    pandas reference — both for an empty input and for one whose every
+    block an upstream filter emptied."""
+    empty = pd.DataFrame({"k": pd.Series(dtype="int64"),
+                          "v": pd.Series(dtype="int64")})
+    filtered = ray.data.from_pandas(
+        pd.DataFrame({"k": np.arange(40), "v": np.arange(40)})).repartition(
+        4).filter(lambda r: r["k"] < 0)
+    for ds in (ray.data.from_pandas(empty), filtered):
+        got = bucket_groups(ds, ["k"], 4, _per_call_sums(["k"])).to_pandas()
+        assert len(got) == 0
+    assert len(empty.groupby("k").size()) == 0
+
+
+def test_one_sided_bucket_shuffles_use_bucket_groups():
+    """Keyed coarse-bucket shuffles stamp through `joins.bucket_groups`: no
+    engine module hand-rolls a per-row `zlib.crc32` bucket loop, and
+    `hash_pandas_object` is called only by the helper and by DSIR's feature
+    hashing (`oracle.py` is independent of the engine by design)."""
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    pkg = root / "dygiepp_ray"
+    sources = [p for p in sorted(pkg.rglob("*.py")) if p.name != "oracle.py"]
+    sources.append(root / "__ray_entry__.py")
+
+    def lines_with(needle: str) -> list[str]:
+        return [f"{path.relative_to(root)}:{i}"
+                for path in sources
+                for i, line in enumerate(path.read_text().splitlines(), 1)
+                if needle in line]
+
+    assert lines_with("zlib.crc32") == []
+    hashers = {hit.rsplit(":", 1)[0] for hit in lines_with("hash_pandas_object")}
+    assert hashers <= {"dygiepp_ray/joins.py", "dygiepp_ray/stages/dsir.py"}
+    joins_src = (pkg / "joins.py").read_text()
+    helper = joins_src[joins_src.index("def bucket_groups("):]
+    helper = helper[:helper.index("\ndef ")]
+    call = "pd.util.hash_pandas_object("
+    assert joins_src.count(call) == helper.count(call) == 1

@@ -73,7 +73,7 @@ def oracle_triples(corpus_dir: str) -> set:
 
 
 def test_triples_match_oracle(corpus_dir):
-    got_df = kg_triples(corpus_dir, concurrency=(1, 2)).to_pandas()
+    got_df = kg_triples(corpus_dir, concurrency=2).to_pandas()
     strip = re.compile(r"_SPLIT_\d+$")
     got = {
         (strip.sub("", d), sn, p, on)
@@ -88,7 +88,7 @@ def test_triples_match_oracle(corpus_dir):
 
 
 def test_sha256_invariant(corpus_dir):
-    got = kg_triples(corpus_dir, concurrency=(1, 2)).to_pandas()
+    got = kg_triples(corpus_dir, concurrency=2).to_pandas()
     # every triple's sha must equal sha256 of its source file's content
     contents = {}
     for f in glob.glob(os.path.join(corpus_dir, "*.parquet")):
@@ -102,8 +102,8 @@ def test_sha256_invariant(corpus_dir):
 
 
 def test_counts_match_pandas_oracle(corpus_dir):
-    tri = kg_triples(corpus_dir, concurrency=(1, 2)).to_pandas()
-    sc = span_counts(kg_triples(corpus_dir, concurrency=(1, 2)), salt_buckets=4).to_pandas()
+    tri = kg_triples(corpus_dir, concurrency=2).to_pandas()
+    sc = span_counts(kg_triples(corpus_dir, concurrency=2), salt_buckets=4).to_pandas()
     import pandas as pd
 
     want = (
@@ -117,7 +117,7 @@ def test_counts_match_pandas_oracle(corpus_dir):
     assert len(m) == len(want) == len(sc)
     assert (m["count_x"] == m["count_y"]).all()
 
-    pcnt = pair_counts(kg_triples(corpus_dir, concurrency=(1, 2))).to_pandas()
+    pcnt = pair_counts(kg_triples(corpus_dir, concurrency=2)).to_pandas()
     wantp = tri.groupby(["subj_norm", "obj_norm"]).size().rename("count").reset_index()
     mp = pcnt.merge(wantp, on=["subj_norm", "obj_norm"])
     assert len(mp) == len(wantp) == len(pcnt)
@@ -128,7 +128,7 @@ def test_build_resume_and_manifests(corpus_dir):
     import shutil
 
     shutil.rmtree(OUT_DIR, ignore_errors=True)
-    res1 = build_kg(corpus_dir, OUT_DIR, n_buckets=8, concurrency=(1, 2))
+    res1 = build_kg(corpus_dir, OUT_DIR, n_buckets=8, concurrency=2)
     assert sorted(res1["written_buckets"]) == list(range(8))
     manifests = sorted(glob.glob(os.path.join(OUT_DIR, "_manifests", "*.json")))
     assert len(manifests) == 8
@@ -137,7 +137,7 @@ def test_build_resume_and_manifests(corpus_dir):
     assert {"bucket", "input_fingerprint", "row_count", "sha256_xor", "files"} <= set(m)
 
     # full skip on identical input
-    res2 = build_kg(corpus_dir, OUT_DIR, n_buckets=8, concurrency=(1, 2))
+    res2 = build_kg(corpus_dir, OUT_DIR, n_buckets=8, concurrency=2)
     assert res2["written_buckets"] == [] and len(res2["skipped_buckets"]) == 8
 
     # invalidate one bucket → only that bucket recomputes
@@ -146,7 +146,7 @@ def test_build_resume_and_manifests(corpus_dir):
         for f in glob.glob(os.path.join(OUT_DIR, "bucket=*", "*.parquet"))
     )
     os.remove(manifests[3])
-    res3 = build_kg(corpus_dir, OUT_DIR, n_buckets=8, concurrency=(1, 2))
+    res3 = build_kg(corpus_dir, OUT_DIR, n_buckets=8, concurrency=2)
     assert res3["written_buckets"] == [3] and len(res3["skipped_buckets"]) == 7
     total_after = sum(
         pq.read_metadata(f).num_rows
@@ -203,7 +203,7 @@ def test_build_kg_extracts_on_tasks(corpus_dir, tmp_path, monkeypatch,
 
     monkeypatch.setattr(ray.data.Dataset, "write_parquet", capture)
     frees_cpus_on_return(lambda: build_kg(
-        corpus_dir, str(tmp_path / "kg"), n_buckets=8, concurrency=(1, 2)))
+        corpus_dir, str(tmp_path / "kg"), n_buckets=8, concurrency=2))
 
     metrics, stack = {}, [written[0]._write_ds._get_stats_summary()]
     while stack:

@@ -22,7 +22,7 @@ ray.init(address="local", num_cpus=4, include_dashboard=False, logging_level="ER
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
 from dygiepp_ray.pipelines.kg import build_kg
-res = build_kg({corpus!r}, {out!r}, n_buckets=8, concurrency=(1, 2))
+res = build_kg({corpus!r}, {out!r}, n_buckets=8, concurrency=2)
 print("DONE", res["written_buckets"], res["skipped_buckets"])
 ray.shutdown()
 """
@@ -92,7 +92,7 @@ ray.init(address="local", num_cpus=4, include_dashboard=False, logging_level="ER
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
 from dygiepp_ray.pipelines.kg import build_kg
-build_kg({corpus!r}, {out!r}, n_buckets=8, concurrency=(1, 2), batch_size=32)
+build_kg({corpus!r}, {out!r}, n_buckets=8, concurrency=2, batch_size=32)
 print("DONE", flush=True)
 ray.shutdown()
 """

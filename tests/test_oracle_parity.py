@@ -39,7 +39,7 @@ def corpus_dir():
 
 
 def test_triples_oracle_parity(corpus_dir):
-    got = kgp.kg_triples(corpus_dir, concurrency=(1, 2)).to_pandas()
+    got = kgp.kg_triples(corpus_dir, concurrency=2).to_pandas()
     want = oracle.expected_triples(corpus_dir).to_pandas()
     assert len(got) == len(want) > 0
     assert value_hash(got) == value_hash(want)
@@ -48,7 +48,7 @@ def test_triples_oracle_parity(corpus_dir):
 def test_closure_oracle_parity(corpus_dir):
     from dygiepp_ray.pipelines.evaluate import transitive_closure
 
-    tri = kgp.kg_triples(corpus_dir, concurrency=(1, 2))
+    tri = kgp.kg_triples(corpus_dir, concurrency=2)
     got = transitive_closure(
         tri.select_columns(["doc_id", "subj", "obj", "pred", "conf"])
     ).to_pandas()
