@@ -6,16 +6,17 @@ key: it stamps a COARSE `_bucket` and runs ONE sort-based
 `groupby("_bucket").map_groups`, and a per-bucket pandas kernel does the
 per-key work. Every bucket-by-key shuffle goes through one of two
 primitives, so a change to the shuffle itself (e.g. Ray Data's native hash
-shuffle, or skew handling on the bucket) is an edit in two places:
+shuffle, or skew handling on the bucket) is an edit in two places. Both
+stamp keys with the one helper `_key_buckets`:
+`_bucket = hash_pandas_object(keys) % n_buckets`, computed on the key
+columns alone (int keys hashed as int64, so an int32 and an int64 block
+place a key alike; null keys share one bucket).
 
-- `bucket_groups(ds, keys, n_buckets, fn)` — one-sided.
-  `_bucket = hash_pandas_object(keys) % n_buckets`, computed on the key
-  columns alone (int keys cast to int64 first, so an int32 and an int64
-  block place a key alike; null keys share one bucket). `fn(frame)` then
-  runs once per bucket on the bucket's rows, `_bucket` already dropped.
-  Every row of one key lands in one bucket, so a per-key reduce inside
-  `fn` is exact. Window functions, argmax and dedup reduces, wedge
-  generation and the in-bucket self-merges go through it.
+- `bucket_groups(ds, keys, n_buckets, fn)` — one-sided. `fn(frame)` runs
+  once per bucket on the bucket's rows, `_bucket` already dropped. Every
+  row of one key lands in one bucket, so a per-key reduce inside `fn` is
+  exact. Window functions, argmax and dedup reduces, wedge generation and
+  the in-bucket self-merges go through it.
 - `_cogroup` — two-sided. Both sides arrive stamped with `_bucket`, each is
   padded to the union schema (zeros for int/bool columns, typed nulls
   otherwise) and tagged `_side`, the two are unioned and grouped once on
@@ -24,7 +25,9 @@ shuffle, or skew handling on the bucket) is an edit in two places:
   — so no side ever sees a padded value and int/bool columns keep their
   dtypes. A `per_bucket(ldf, rdf)` callable then does the pandas work. The
   joins below, the J2 collect and the persisted dedup store matches differ
-  only in how they stamp `_bucket` and in that callable.
+  only in how they stamp `_bucket` and in that callable: the joins stamp
+  `_key_buckets` of the join key (`interval_join` of (key, band),
+  `skew_join` of its cold rows only).
 
 Buckets derived from LSH band or signature values, and the persisted
 `bucket` layouts of the build and the dedup stores, are not keyed-bucket
@@ -34,8 +37,8 @@ The joins:
 
 - `broadcast_lookup` — small side `ray.put` once, dict-mapped per batch (J1
   when one side is a dimension table; no shuffle).
-- `hash_join` — the portable big-big equi-join: `_bucket = hash(key) % B`
-  on both sides, one pandas merge per bucket. ONE shuffle, B-way parallel
+- `hash_join` — the portable big-big equi-join: `_key_buckets(key)` on
+  both sides, one pandas merge per bucket. ONE shuffle, B-way parallel
   merge, nothing materialized by the caller. Salt knob: raise B for hot keys; a
   single bucket only ever holds ~|A|/B + |B|/B rows.
 - `zip_join_assert` — J2 shard-collect semantics: 1:1 key join with
@@ -49,7 +52,6 @@ The joins:
 
 from __future__ import annotations
 
-import hashlib
 from typing import Literal
 
 import numpy as np
@@ -76,41 +78,6 @@ def broadcast_lookup(big: "ray.data.Dataset", small_df: pd.DataFrame, key: str,
     return big.map_batches(add, batch_format="pandas")
 
 
-def _bucket_array(key, n_buckets: int) -> pa.Array:
-    """Deterministic per-row bucket ids for an int or string key column.
-
-    Integer keys: masked modulo, fully vectorized. String keys:
-    dictionary-encode first, blake2b ONLY the (small) per-chunk dictionary,
-    then gather per-row buckets through the indices — no per-row Python in
-    the hot path. Null keys land in bucket 0 (they never match in the merge)."""
-    if isinstance(key, pa.ChunkedArray) and pa.types.is_integer(key.type):
-        vals = pc.cast(key, pa.int64()).combine_chunks().to_numpy(zero_copy_only=False)
-        return pa.array((vals.astype(np.int64) & ((1 << 62) - 1)) % n_buckets, pa.int32())
-    if not isinstance(key, pa.ChunkedArray):
-        key = pa.chunked_array([key])
-    if pa.types.is_integer(key.type):
-        vals = pc.cast(key, pa.int64()).combine_chunks().to_numpy(zero_copy_only=False)
-        return pa.array((vals.astype(np.int64) & ((1 << 62) - 1)) % n_buckets, pa.int32())
-    enc = pc.dictionary_encode(key)
-    chunks = enc.chunks if isinstance(enc, pa.ChunkedArray) else [enc]
-    out = []
-    for chunk in chunks:
-        d = chunk.dictionary.to_pylist()
-        small = np.fromiter(
-            (
-                int.from_bytes(
-                    hashlib.blake2b(str(v).encode(), digest_size=4).digest(), "big"
-                ) % n_buckets
-                for v in d
-            ),
-            dtype=np.int64, count=len(d),
-        )
-        idx = chunk.indices.fill_null(0).to_numpy(zero_copy_only=False)
-        out.append(small[idx.astype(np.int64)])
-    merged = np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
-    return pa.array(merged, pa.int32())
-
-
 def _arrow_types(ds: "ray.data.Dataset") -> dict:
     """{col: pyarrow.DataType} from a Dataset schema (numpy dtypes from
     pandas-backed blocks normalized to Arrow)."""
@@ -126,12 +93,43 @@ def _arrow_types(ds: "ray.data.Dataset") -> dict:
     return out
 
 
+def _int64_keys(t: pa.Table, key_cols: list[str]) -> pa.Table:
+    """`t` with its int key columns cast to int64."""
+    for k in key_cols:
+        col = t.column(k)
+        if pa.types.is_integer(col.type) and col.type != pa.int64():
+            t = t.set_column(t.schema.get_field_index(k), k,
+                             pc.cast(col, pa.int64()))
+    return t
+
+
+def _key_buckets(t: pa.Table, keys: str | list[str], n_buckets: int) -> pa.Array:
+    """Per-row `hash_pandas_object(keys) % n_buckets` (int64) of `t`, the
+    one keyed-bucket stamp. Only the key columns go through pandas. A str
+    `keys` hashes that column, a list hashes the frame of those columns
+    (pandas' own `df[keys]` rule). Int keys hash as int64, so a key arriving
+    as int32 in one block and int64 in another lands in one bucket; a null
+    int key hashes as pandas' NA value (via `Int64`) instead of turning the
+    column float, which would move its non-null keys. Null keys all hash
+    alike. The hash is `hash_pandas_object`'s fixed default key, so
+    placement is the same in every process."""
+    key_cols = [keys] if isinstance(keys, str) else list(keys)
+    kt = _int64_keys(t.select(key_cols).replace_schema_metadata(None), key_cols)
+    # Int64 only when an int key has a null: without nulls the two hash
+    # alike, and the extension dtype makes the stamp several times slower
+    nullable = any(pa.types.is_int64(c.type) and c.null_count for c in kt.columns)
+    kdf = kt.to_pandas(
+        types_mapper={pa.int64(): pd.Int64Dtype()}.get if nullable else None)
+    h = pd.util.hash_pandas_object(kdf[keys], index=False).to_numpy()
+    return pa.array((h % np.uint64(n_buckets)).astype(np.int64))
+
+
 def _bucketed(ds: "ray.data.Dataset", cols: list[str], on: str,
               n_buckets: int) -> "ray.data.Dataset":
-    """`ds` projected to `cols` and stamped `_bucket = hash(on) % n_buckets`."""
+    """`ds` projected to `cols` and stamped with `_key_buckets(on)`."""
 
     def stamp(t: pa.Table) -> pa.Table:
-        return t.append_column("_bucket", _bucket_array(t.column(on), n_buckets))
+        return t.append_column("_bucket", _key_buckets(t, on, n_buckets))
 
     return ds.select_columns(cols).map_batches(stamp, batch_format="pyarrow")
 
@@ -190,30 +188,14 @@ def bucket_groups(ds: "ray.data.Dataset", keys: str | list[str],
     key reaches the same single `fn` call and the group count stays at
     `n_buckets` whatever the key cardinality.
 
-    The stamp stays in Arrow: only the key columns go through pandas, to
-    be hashed. A str `keys` hashes that column, a list hashes the frame of
-    those columns (pandas' own `df[keys]` rule). Int keys are cast to int64
-    in the stamped table, so one key arriving as int32 in one block and
-    int64 in another lands in one bucket; null keys all hash alike. `fn`
-    sees the bucket's rows as pandas, without `_bucket`. The hash is
-    `hash_pandas_object`'s fixed default key, so placement is the same in
-    every process."""
+    The stamp is `_key_buckets`, in Arrow. Int keys are also cast to
+    int64 in the stamped table itself, so every block reaches `fn` with one
+    key dtype. `fn` sees the bucket's rows as pandas, without `_bucket`."""
     key_cols = [keys] if isinstance(keys, str) else list(keys)
 
     def stamp(t: pa.Table) -> pa.Table:
-        t = t.replace_schema_metadata(None)
-        for k in key_cols:
-            col = t.column(k)
-            if pa.types.is_integer(col.type) and col.type != pa.int64():
-                t = t.set_column(t.schema.get_field_index(k), k,
-                                 pc.cast(col, pa.int64()))
-        # nullable Int64: a null int key hashes to pandas' NA value instead
-        # of turning the column float (which would move its non-null keys)
-        kdf = t.select(key_cols).to_pandas(
-            types_mapper={pa.int64(): pd.Int64Dtype()}.get)
-        h = pd.util.hash_pandas_object(kdf[keys], index=False).to_numpy()
-        return t.append_column(
-            "_bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64)))
+        t = _int64_keys(t.replace_schema_metadata(None), key_cols)
+        return t.append_column("_bucket", _key_buckets(t, keys, n_buckets))
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
         return fn(df.drop(columns=["_bucket"]))
@@ -384,13 +366,8 @@ def interval_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
         # fine matching vectorized. (The first version used key-bucket ×
         # band as the group key — one near-empty pandas group per distinct
         # band at scale, which dominated wall time.)
-        kh = _bucket_array(t.column(on), 1 << 30).to_numpy(
-            zero_copy_only=False).astype(np.uint64)
-        g = t.column("_g").to_numpy(zero_copy_only=False).astype(np.uint64)
-        mix = (kh * np.uint64(0x9E3779B97F4A7C15)) ^ g
-        return t.append_column(
-            "_bucket", pa.array((mix % np.uint64(n_buckets)).astype(np.int64),
-                                pa.int64()))
+        return t.append_column("_bucket",
+                               _key_buckets(t, [on, "_g"], n_buckets))
 
     def stamp_left(t: pa.Table) -> pa.Table:
         g = pc.divide(pc.cast(t.column(left_ts), pa.int64()),
@@ -491,13 +468,12 @@ def skew_join(left: "ray.data.Dataset", right: "ray.data.Dataset", on: str,
             "sides; rename to disambiguate")
 
     def stamp_left(t: pa.Table) -> pa.Table:
-        bucket = _bucket_array(t.column(on), n_buckets).to_numpy(
-            zero_copy_only=False).copy()
+        bucket = _key_buckets(t, on, n_buckets).to_numpy().copy()
         is_hot = pc.is_in(t.column(on), value_set=hot_arr).to_numpy(
             zero_copy_only=False)
         if is_hot.any():  # salt: spread hot rows round-robin over buckets
             bucket[is_hot] = np.arange(int(is_hot.sum())) % n_buckets
-        return t.append_column("_bucket", pa.array(bucket, pa.int32()))
+        return t.append_column("_bucket", pa.array(bucket))
 
     def stamp_right(t: pa.Table) -> pa.Table:
         is_hot = pc.is_in(t.column(on), value_set=hot_arr)
@@ -506,8 +482,8 @@ def skew_join(left: "ray.data.Dataset", right: "ray.data.Dataset", on: str,
         # replicate each hot right row into every bucket
         return pa.concat_tables([cold, *[hot_t] * n_buckets]).append_column(
             "_bucket", pa.concat_arrays([
-                _bucket_array(cold.column(on), n_buckets),
-                pa.array(np.repeat(np.arange(n_buckets, dtype=np.int32),
+                _key_buckets(cold, on, n_buckets),
+                pa.array(np.repeat(np.arange(n_buckets, dtype=np.int64),
                                    hot_t.num_rows))]))
 
     return _cogroup(

@@ -7,12 +7,22 @@ Two execution modes, dispatched on the node-vocabulary size (`mode="auto"`):
 
 - **broadcast** (|V| fits in a worker's heap — the common case for a KG,
   whose nodes are canonicalized entity spans, a vocabulary orders of
-  magnitude smaller than the edge set): the per-node state (label / rank
-  units) lives in ONE numpy array `ray.put` once per iteration; each
-  iteration is a single vectorized `map_batches` pass over the int-indexed
-  edge blocks emitting tiny compacted partials, streamed to the driver with
-  `iter_batches` and merged with `np.minimum.at` / int64 adds. Zero
-  shuffles per iteration; the edge set streams at any size.
+  magnitude smaller than the edge set): per-node state (labels, rank
+  units, alive masks) lives in driver numpy arrays over the sorted node
+  vocabulary. Each algorithm writes every pass ONCE, as a kernel
+  `(edge columns, state) -> (node idx, values)`; `_EdgePasses` runs that
+  one kernel in one of two executions:
+  - at most `LOCAL_MAX_EDGES` edges: the int edge columns are collected to
+    the driver once and every pass is local numpy over them;
+  - above: the state is `ray.put` once per pass and the kernel runs per
+    int-indexed edge block in `map_batches`; each block scatters into a
+    dense |V| array and ships only its touched entries, which the driver
+    merges with the pass's ufunc (`add`, `minimum`, `maximum`). The two
+    label-spreading algorithms count votes under sparse (node, label) keys
+    instead and get a sparse-sum merge.
+  Both executions merge the same kernel output with the same ufunc (int
+  adds commute, min/max are idempotent), so they are bit-identical. Zero
+  shuffles per pass; the edge set streams at any size.
 - **shuffle** (|V| itself exceeds memory — e.g. URL-graph scale): the
   bucketed-`hash_join` + partial+final-aggregation fixpoint below; each
   iteration is a bounded number of key-partitioned shuffles, never a
@@ -24,11 +34,13 @@ Determinism discipline (driver value-hash oracles hold in BOTH modes):
   so distributed evaluation matches a single-threaded union-find exactly.
   Node indices are assigned in sorted-name order, so index-min == name-min.
 - PageRank: FIXED-POINT integer arithmetic — ranks live as int64
-  micro-units (Σ = N × 10⁹ initially) and every share uses floor division
+  micro-units and every share uses floor division
   (`units * 85 // (100 * outdeg)`), so partial sums are exact int64 and
   order-independent. This is a deterministic spec (documented mass loss to
   rounding and dangling nodes), not IEEE-float PageRank — the float `rank`
   column is derived from the integers, identically on engine and oracle.
+  Uniform, personalized and weighted PageRank are one iteration: uniform
+  is personalized with every node seeded, unweighted is weight 1.
 """
 
 from __future__ import annotations
@@ -40,8 +52,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..aggregates import partial_final_agg, strip_schema_metadata
-from ..joins import hash_join
+from ..aggregates import grouped_count, partial_final_agg, strip_schema_metadata
+from ..joins import _arrow_types, hash_join
 
 UNITS = 1_000_000_000  # 1.0 of rank mass, in micro-units
 DAMP_NUM, DAMP_DEN = 85, 100  # damping 0.85 as an exact ratio
@@ -57,17 +69,30 @@ def _nodes_of(edges: "ray.data.Dataset", src: str, dst: str) -> "ray.data.Datase
         arr = pa.chunked_array(chunks, t.column(src).type)
         return pa.table({"node": arr.unique()})
 
-    from ..aggregates import grouped_count
-
     return grouped_count(edges.map_batches(both, batch_format="pyarrow"),
                          ["node"], out_name="_n").select_columns(["node"])
 
 
-def _index_edges(edges: "ray.data.Dataset", src: str, dst: str):
+def _pick_mode(mode: str, edges: "ray.data.Dataset", src: str, dst: str,
+               max_nodes: int) -> str:
+    """`mode`, with "auto" resolved by the broadcast admission: the node
+    vocabulary is small enough to broadcast. The distinct-count is one
+    partial+final aggregation (cheap: ≤ one row per (node, block)
+    shuffles)."""
+    if mode != "auto":
+        return mode
+    if _nodes_of(edges, src, dst).count() <= max_nodes:
+        return "broadcast"
+    return "shuffle"
+
+
+def _index_edges(edges: "ray.data.Dataset", src: str, dst: str,
+                 weight: str | None = None):
     """(names, indexed_edges) — names is the sorted node vocabulary (numpy
     object array, bounded by the broadcast-mode assumption |V| ≪ |E|);
     indexed_edges is the edge set re-expressed as int32 (s, d) columns,
-    materialized once so every fixpoint iteration is pure numpy over it."""
+    plus the int64 `weight` column as `w` when given, materialized once so
+    every pass is pure numpy over it."""
     # the edge table is consumed twice (node vocab, then indexing) — pin it
     # once so a lazy upstream pipeline (e.g. the extraction kernel feeding
     # kg_components/kg_pagerank) doesn't re-execute per consumption
@@ -78,175 +103,218 @@ def _index_edges(edges: "ray.data.Dataset", src: str, dst: str):
 
     def to_idx(df: pd.DataFrame) -> pd.DataFrame:
         m = ray.get(idx_ref)
-        return pd.DataFrame({
-            "s": df[src].map(m).to_numpy(dtype=np.int32),
-            "d": df[dst].map(m).to_numpy(dtype=np.int32),
-        })
+        out = {"s": df[src].map(m).to_numpy(dtype=np.int32),
+               "d": df[dst].map(m).to_numpy(dtype=np.int32)}
+        if weight is not None:
+            out["w"] = df[weight].to_numpy(dtype=np.int64)
+        return pd.DataFrame(out)
 
-    indexed = edges.select_columns([src, dst]).map_batches(
+    cols = [src, dst] if weight is None else [src, dst, weight]
+    indexed = edges.select_columns(cols).map_batches(
         to_idx, batch_format="pandas").materialize()
     return names, indexed
 
 
-# Below this edge count the int32 edge list (8 B/edge) is collected to the
-# driver ONCE and the fixpoint loops run as local numpy — bit-identical to
-# the per-iteration distributed passes (int adds commute, min is idempotent)
-# but without paying one Ray dataset execution per iteration, which dominates
-# wall time on small post-aggregation graphs (a deduped KG edge table).
+# Below this edge count the indexed edge columns (8 B/edge) are collected
+# to the driver ONCE and every broadcast-mode pass runs as local numpy —
+# bit-identical to the per-block distributed passes but without paying one
+# Ray dataset execution per pass, which dominates wall time on small
+# post-aggregation graphs (a deduped KG edge table).
 LOCAL_MAX_EDGES = 2_000_000
 
 
-def _collect_indexed(indexed: "ray.data.Dataset"):
-    """(s, d) int arrays of a small materialized indexed-edge dataset."""
-    ss, ds_ = [], []
-    for b in indexed.iter_batches(batch_format="numpy"):
-        ss.append(b["s"])
-        ds_.append(b["d"])
-    if not ss:
-        return (np.zeros(0, dtype=np.int32),) * 2
-    return np.concatenate(ss), np.concatenate(ds_)
+def _collect_indexed(indexed: "ray.data.Dataset") -> dict:
+    """{column: array} of a small materialized indexed-edge dataset."""
+    parts: dict[str, list] = {}
+    for b in indexed.iter_batches(batch_format="numpy", batch_size=None):
+        for c, v in b.items():
+            parts.setdefault(c, []).append(v)
+    if not parts:
+        return {"s": np.zeros(0, np.int32), "d": np.zeros(0, np.int32)}
+    return {c: np.concatenate(v) for c, v in parts.items()}
+
+
+def _sum_by_key(keys: np.ndarray, cnts: np.ndarray):
+    """(unique keys, summed counts) of sparse int64 partials."""
+    uk, inv = np.unique(keys, return_inverse=True)
+    out = np.zeros(len(uk), dtype=np.int64)
+    np.add.at(out, inv, cnts)
+    return uk, out
+
+
+class _EdgePasses:
+    """Every broadcast-mode pass over one int-indexed edge set.
+
+    A pass is a kernel `(cols, state) -> (idx, vals)`, where `cols` holds
+    the edge columns (`s`, `d`, and `w` when weighted). At most
+    `LOCAL_MAX_EDGES` edges, the columns are collected here, once, and the
+    kernel runs on them locally. Above, `state` is `ray.put` once per pass
+    and the kernel runs per edge block in `map_batches`."""
+
+    def __init__(self, indexed: "ray.data.Dataset"):
+        self.indexed = indexed
+        self.cols = (_collect_indexed(indexed)
+                     if indexed.count() <= LOCAL_MAX_EDGES else None)
+
+    def _per_block(self, part, state):
+        ref = ray.put(state)
+        return self.indexed.map_batches(
+            lambda b: part(b, ray.get(ref)), batch_format="numpy"
+        ).iter_batches(batch_format="numpy", batch_size=None)
+
+    def scatter(self, kernel, state, ufunc, out: np.ndarray) -> np.ndarray:
+        """`ufunc.at(out, idx, vals)` over every edge's kernel output, in
+        place; returns `out` (int64). Streamed, each block scatters into a
+        dense |V|-sized array of the ufunc's identity and ships only the
+        entries it touched — no `np.unique` over the block."""
+        if self.cols is not None:
+            ufunc.at(out, *kernel(self.cols, state))
+            return out
+        n, dt = len(out), out.dtype  # not `out`: the closure ships per pass
+        info = np.iinfo(dt)
+        ident = {np.add: 0, np.minimum: info.max, np.maximum: info.min}[ufunc]
+
+        def part(b: dict, st) -> dict:
+            acc = np.full(n, ident, dt)
+            ufunc.at(acc, *kernel(b, st))
+            touched = np.nonzero(acc != ident)[0]
+            return {"n": touched, "v": acc[touched]}
+
+        for b in self._per_block(part, state):
+            ufunc.at(out, b["n"], b["v"])
+        return out
+
+    def votes(self, kernel, state):
+        """(keys, counts): the sparse sum of `kernel(cols, state) ->
+        (unique int64 keys, counts)` over every edge. For vote counts under
+        (node, label) keys, whose key space is too large for a dense array;
+        the streamed merge re-compacts past 4M buffered keys."""
+        if self.cols is not None:
+            return kernel(self.cols, state)
+
+        def part(b: dict, st) -> dict:
+            k, c = kernel(b, st)
+            return {"k": k, "c": c}
+
+        keys, cnts = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+        buffered = 0
+        for b in self._per_block(part, state):
+            keys.append(b["k"])
+            cnts.append(b["c"])
+            buffered += len(b["k"])
+            if buffered > 4_000_000:
+                uk, uc = _sum_by_key(np.concatenate(keys), np.concatenate(cnts))
+                keys, cnts, buffered = [uk], [uc], len(uk)
+        return _sum_by_key(np.concatenate(keys), np.concatenate(cnts))
+
+
+def _broadcast_edges(edges: "ray.data.Dataset", src: str, dst: str,
+                     max_nodes: int, who: str, weight: str | None = None):
+    """(names, _EdgePasses) of a broadcast-mode algorithm, after the |V|
+    admission: a vocabulary above `max_nodes` is an explicit error, not a
+    silent driver-memory cliff."""
+    names, indexed = _index_edges(edges, src, dst, weight)
+    if len(names) > max_nodes:
+        raise ValueError(
+            f"{who}: |V|={len(names)} exceeds the broadcast admission "
+            f"({max_nodes}); use mode='shuffle' where the operator has one")
+    return names, _EdgePasses(indexed)
+
+
+def _min_label_step(cols: dict, lab: np.ndarray):
+    """CC pass: each endpoint is offered the other endpoint's label (min).
+    Unfiltered: compressing the edge arrays to the lowering offers costs
+    more than scattering them all."""
+    s, d = cols["s"], cols["d"]
+    return np.concatenate([s, d]), np.concatenate([lab[d], lab[s]])
 
 
 def _components_broadcast(edges: "ray.data.Dataset", src: str, dst: str,
-                          max_iter: int) -> "ray.data.Dataset":
+                          max_iter: int, max_nodes: int) -> "ray.data.Dataset":
     """Broadcast-mode CC: labels = one int64 array over the sorted node
-    vocabulary; each round is one vectorized pass over the edge blocks
-    (updates compacted per block with np.unique+minimum) streamed to the
-    driver, then driver-side pointer compression (labels[labels]) — so
-    rounds ≈ O(log diameter), not diameter."""
-    names, indexed = _index_edges(edges, src, dst)
+    vocabulary; each round is one min-scatter edge pass, then driver-side
+    pointer compression (labels[labels]) — so rounds ≈ O(log diameter),
+    not diameter."""
+    names, passes = _broadcast_edges(edges, src, dst, max_nodes,
+                                     "connected_components")
     labels = np.arange(len(names), dtype=np.int64)
-
-    if indexed.count() <= LOCAL_MAX_EDGES:  # materialized -> count is free
-        s, d = _collect_indexed(indexed)
-        for _ in range(max_iter):
-            before = labels.copy()
-            np.minimum.at(labels, s, labels[d])
-            np.minimum.at(labels, d, labels[s])
-            while True:
-                nxt = np.minimum(labels, labels[labels])
-                if (nxt == labels).all():
-                    break
-                labels = nxt
-            if (labels == before).all():
-                break
-        out = pa.table({"node": pa.array(list(names)),
-                        "component": pa.array(list(names[labels]))})
-        return ray.data.from_arrow(out)
-
     for _ in range(max_iter):
-        lab_ref = ray.put(labels)
-
-        def step(df: pd.DataFrame) -> pd.DataFrame:
-            lab = ray.get(lab_ref)
-            s = df["s"].to_numpy()
-            d = df["d"].to_numpy()
-            ls, ld = lab[s], lab[d]
-            m = np.minimum(ls, ld)
-            up_n = np.concatenate([s[m < ls], d[m < ld]])
-            up_v = np.concatenate([m[m < ls], m[m < ld]])
-            # compact per block: one (node, min) row per touched node
-            uniq, inv = np.unique(up_n, return_inverse=True)
-            best = np.full(len(uniq), np.iinfo(np.int64).max, dtype=np.int64)
-            np.minimum.at(best, inv, up_v)
-            return pd.DataFrame({"n": uniq.astype(np.int64), "v": best})
-
-        changed = False
-        updates = indexed.map_batches(step, batch_format="pandas")
-        for batch in updates.iter_batches(batch_format="numpy"):
-            n, v = batch["n"], batch["v"]
-            if len(n):
-                before = labels[n].copy()
-                np.minimum.at(labels, n, v)
-                changed = changed or bool((labels[n] < before).any())
+        before = labels.copy()
+        passes.scatter(_min_label_step, before, np.minimum, labels)
         # pointer compression (pure acceleration; fixpoint is unchanged)
         while True:
             nxt = np.minimum(labels, labels[labels])
             if (nxt == labels).all():
                 break
             labels = nxt
-        if not changed:
+        if (labels == before).all():
             break
+    return ray.data.from_arrow(pa.table({
+        "node": pa.array(list(names)),
+        "component": pa.array(list(names[labels]))}))
 
-    out = pa.table({"node": pa.array(list(names)),
-                    "component": pa.array(list(names[labels]))})
-    return ray.data.from_arrow(out)
+
+def _out_mass(cols: dict, _state):
+    """PageRank pass: each edge's weight (1 when unweighted) at its source —
+    summed, the out-weight W_out; maxed, the largest out-edge weight."""
+    s = cols["s"]
+    return s, cols["w"] if "w" in cols else np.ones(len(s), np.int64)
+
+
+def _deliver_shares(cols: dict, shares: tuple):
+    """PageRank pass: Σ over u→v of floor(units(u)·85·w / (100·W_out(u)))
+    at v, exactly, as q·w + (r·w)//b with (q, r) = divmod(units(u)·85, b)
+    and b = 100·W_out(u). Unweighted (w ≡ 1) that is q, since r < b."""
+    q, s = shares[0], cols["s"]
+    if "w" not in cols:
+        return cols["d"], q[s]
+    _, r, b = shares
+    w = cols["w"]
+    return cols["d"], q[s] * w + (r[s] * w) // np.maximum(b[s], 1)
 
 
 def _pagerank_broadcast(edges: "ray.data.Dataset", src: str, dst: str,
-                        n_iter: int) -> "ray.data.Dataset":
-    """Broadcast-mode PageRank: per-iteration = one pass over the indexed
-    edge blocks with the share vector broadcast; per-block int64 dense
-    accumulate (bounded by |V| — the mode's admission criterion) compacted
-    to nonzero rows, streamed to the driver and summed exactly in int64."""
+                        n_iter: int, max_nodes: int, who: str,
+                        seeds: set | None = None,
+                        weight: str | None = None) -> "ray.data.Dataset":
+    """Broadcast-mode PageRank, the one iteration behind
+    `pagerank_fixedpoint` (`seeds=None`: every node seeded),
+    `personalized_pagerank` and `pagerank_weighted` (`weight`): per
+    iteration one add-scatter edge pass delivering the exact integer
+    shares."""
     from ..functions.strings import round_half_up
 
-    names, indexed = _index_edges(edges, src, dst)
-    n_nodes = len(names)
-    base = (n_nodes * UNITS) * (DAMP_DEN - DAMP_NUM) // (DAMP_DEN * n_nodes)
-
-    if indexed.count() <= LOCAL_MAX_EDGES:  # materialized -> count is free
-        s, d = _collect_indexed(indexed)
-        outdeg = np.zeros(n_nodes, dtype=np.int64)
-        np.add.at(outdeg, s, 1)
-        units = np.full(n_nodes, UNITS, dtype=np.int64)
-        for _ in range(n_iter):
-            share = np.zeros(n_nodes, dtype=np.int64)
-            nz = outdeg > 0
-            share[nz] = units[nz] * DAMP_NUM // (DAMP_DEN * outdeg[nz])
-            incoming = np.zeros(n_nodes, dtype=np.int64)
-            np.add.at(incoming, d, share[s])
-            units = base + incoming
-        rank = round_half_up(units.astype(np.float64) / (n_nodes * UNITS), 9)
-        out = pa.table({"node": pa.array(list(names), pa.string()),
-                        "rank_units": pa.array(units, pa.int64()),
-                        "rank": pa.array(rank, pa.float64())})
-        return ray.data.from_arrow(out)
-
-    def deg_partial(df: pd.DataFrame) -> pd.DataFrame:
-        uniq, cnt = np.unique(df["s"].to_numpy(), return_counts=True)
-        return pd.DataFrame({"n": uniq.astype(np.int64),
-                             "c": cnt.astype(np.int64)})
-
-    outdeg = np.zeros(n_nodes, dtype=np.int64)
-    for batch in indexed.map_batches(
-            deg_partial, batch_format="pandas").iter_batches(batch_format="numpy"):
-        np.add.at(outdeg, batch["n"], batch["c"])
-
-    units = np.full(n_nodes, UNITS, dtype=np.int64)
+    names, passes = _broadcast_edges(edges, src, dst, max_nodes, who, weight)
+    n = len(names)
+    wout = passes.scatter(_out_mass, None, np.add, np.zeros(n, np.int64))
+    if weight is not None:
+        wmax = passes.scatter(_out_mass, None, np.maximum,
+                              np.full(n, np.iinfo(np.int64).min))
+        assert (DAMP_DEN * int(wout.max(initial=0))
+                * max(int(wmax.max(initial=0)), 1) < 2 ** 63), \
+            "pagerank_weighted: 100·max(W_out)·max(w) must fit int64"
+    if seeds is None:
+        seeded, k = np.ones(n, dtype=bool), n
+    else:
+        seeded = np.fromiter((nm in seeds for nm in names), bool, n)
+        k = len(seeds)
+    base = np.where(seeded, np.int64(UNITS * (DAMP_DEN - DAMP_NUM) // DAMP_DEN),
+                    np.int64(0))
+    units = np.where(seeded, np.int64(UNITS), np.int64(0))
+    b = DAMP_DEN * wout
+    nz = wout > 0
     for _ in range(n_iter):
-        share = np.zeros(n_nodes, dtype=np.int64)
-        nz = outdeg > 0
-        share[nz] = units[nz] * DAMP_NUM // (DAMP_DEN * outdeg[nz])
-        share_ref = ray.put(share)
-
-        def deliver(df: pd.DataFrame) -> pd.DataFrame:
-            sh = ray.get(share_ref)
-            acc = np.zeros(len(sh), dtype=np.int64)
-            np.add.at(acc, df["d"].to_numpy(), sh[df["s"].to_numpy()])
-            touched = np.nonzero(acc)[0]
-            return pd.DataFrame({"n": touched.astype(np.int64),
-                                 "v": acc[touched]})
-
-        incoming = np.zeros(n_nodes, dtype=np.int64)
-        for batch in indexed.map_batches(
-                deliver, batch_format="pandas").iter_batches(batch_format="numpy"):
-            np.add.at(incoming, batch["n"], batch["v"])
-        units = base + incoming
-
-    rank = round_half_up(units.astype(np.float64) / (n_nodes * UNITS), 9)
-    out = pa.table({"node": pa.array(list(names), pa.string()),
-                    "rank_units": pa.array(units, pa.int64()),
-                    "rank": pa.array(rank, pa.float64())})
-    return ray.data.from_arrow(out)
-
-
-def _broadcast_fits(edges: "ray.data.Dataset", src: str, dst: str,
-                    max_nodes: int) -> bool:
-    """auto-mode admission: node vocabulary small enough to broadcast. The
-    distinct-count is one partial+final aggregation (cheap: ≤ one row per
-    (node, block) shuffles)."""
-    return _nodes_of(edges, src, dst).count() <= max_nodes
+        q = np.zeros(n, dtype=np.int64)
+        r = np.zeros(n, dtype=np.int64)
+        q[nz], r[nz] = np.divmod(units[nz] * DAMP_NUM, b[nz])
+        shares = (q,) if weight is None else (q, r, b)
+        units = base + passes.scatter(_deliver_shares, shares, np.add,
+                                      np.zeros(n, np.int64))
+    rank = round_half_up(units.astype(np.float64) / (k * UNITS), 9)
+    return ray.data.from_arrow(pa.table({
+        "node": pa.array(list(names), pa.string()),
+        "rank_units": pa.array(units, pa.int64()),
+        "rank": pa.array(rank, pa.float64())}))
 
 
 def connected_components(edges: "ray.data.Dataset", src: str = "src",
@@ -259,12 +327,9 @@ def connected_components(edges: "ray.data.Dataset", src: str = "src",
 
     `mode`: "broadcast" (label array broadcast, zero shuffles/round),
     "shuffle" (bucketed-join fixpoint for huge vocabularies), or "auto"."""
-    if mode == "auto":
-        mode = ("broadcast"
-                if _broadcast_fits(edges, src, dst, broadcast_max_nodes)
-                else "shuffle")
-    if mode == "broadcast":
-        return _components_broadcast(edges, src, dst, max_iter)
+    if _pick_mode(mode, edges, src, dst, broadcast_max_nodes) == "broadcast":
+        return _components_broadcast(edges, src, dst, max_iter,
+                                     broadcast_max_nodes)
     return _components_shuffle(edges, src, dst, max_iter, n_buckets)
 
 
@@ -282,6 +347,25 @@ def _bound_blocks(ds: "ray.data.Dataset", n_buckets: int,
     return ds
 
 
+def _symmetrize(edges: "ray.data.Dataset", src: str, dst: str,
+                weight: str | None = None) -> "ray.data.Dataset":
+    """(src, dst[, weight]) rows of every edge in both directions (a
+    reversed edge keeps its weight); duplicates are the caller's to drop."""
+
+    def both(t: pa.Table) -> pa.Table:
+        t = strip_schema_metadata(t)
+        u, v = t.column(src), t.column(dst)
+        out = {src: pa.chunked_array(list(u.chunks) + list(v.chunks), u.type),
+               dst: pa.chunked_array(list(v.chunks) + list(u.chunks), u.type)}
+        if weight is not None:
+            w = t.column(weight)
+            out[weight] = pa.chunked_array(list(w.chunks) * 2, w.type)
+        return pa.table(out)
+
+    cols = [src, dst] if weight is None else [src, dst, weight]
+    return edges.select_columns(cols).map_batches(both, batch_format="pyarrow")
+
+
 def _components_shuffle(edges: "ray.data.Dataset", src: str,
                         dst: str, max_iter: int,
                         n_buckets: int) -> "ray.data.Dataset":
@@ -292,18 +376,7 @@ def _components_shuffle(edges: "ray.data.Dataset", src: str,
     shuffles; per-iteration convergence is detected with a tiny changed-row
     count. Label diameter bounds iterations (≤ graph diameter); `max_iter`
     is a safety stop."""
-
-    def sym(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        typ = t.column(src).type
-        a = pa.chunked_array(
-            list(t.column(src).chunks) + list(t.column(dst).chunks), typ)
-        b = pa.chunked_array(
-            list(t.column(dst).chunks) + list(t.column(src).chunks), typ)
-        return pa.table({"u": a, "v": b})
-
-    sym_edges = edges.select_columns([src, dst]).map_batches(
-        sym, batch_format="pyarrow").materialize()
+    sym_edges = _symmetrize(edges, src, dst).materialize()
     labels = _nodes_of(edges, src, dst).map_batches(
         lambda t: pa.table({"node": t.column("node"),
                             "label": t.column("node")}),
@@ -311,15 +384,15 @@ def _components_shuffle(edges: "ray.data.Dataset", src: str,
     node_type = pa.string()
 
     for _ in range(max_iter):
-        # neighbor labels: label(u) delivered to v
+        # neighbor labels: label(src) delivered to dst
         nbr = hash_join(
             sym_edges, labels.map_batches(
-                lambda t: t.rename_columns(["u", "label"]),
+                lambda t: t.rename_columns([src, "label"]),
                 batch_format="pyarrow"),
-            on="u", n_buckets=n_buckets,
-            left_types={"u": node_type, "v": node_type},
-            right_types={"u": node_type, "label": node_type},
-            bucket_post=lambda df: df.groupby("v", as_index=False)
+            on=src, n_buckets=n_buckets,
+            left_types={src: node_type, dst: node_type},
+            right_types={src: node_type, "label": node_type},
+            bucket_post=lambda df: df.groupby(dst, as_index=False)
                                      .agg(nbr_min=("label", "min")),
         )
         cand = partial_final_agg(
@@ -368,45 +441,52 @@ def pagerank_fixedpoint(edges: "ray.data.Dataset", src: str = "src",
       units⁰(v)   = UNITS
       share(u)    = units(u) * 85 // (100 * outdeg(u))
       unitsᵗ⁺¹(v) = base + Σ_{(u,v)∈E} share(u),
-      base        = (N * UNITS) * 15 // (100 * N)
+      base        = (N * UNITS) * 15 // (100 * N)  (= UNITS * 15 // 100)
     Mass lost to floor rounding and dangling nodes is NOT redistributed
     (deterministic spec choice; documented). `rank` = units / (N * UNITS)
     rounded half-up to 9 decimals — derived from the integers, so it hashes
-    identically everywhere."""
-    if mode == "auto":
-        mode = ("broadcast"
-                if _broadcast_fits(edges, src, dst, broadcast_max_nodes)
-                else "shuffle")
-    if mode == "broadcast":
-        return _pagerank_broadcast(edges, src, dst, n_iter)
+    identically everywhere. This is `personalized_pagerank` with every node
+    seeded (k = N), and runs as that same iteration."""
+    if _pick_mode(mode, edges, src, dst, broadcast_max_nodes) == "broadcast":
+        return _pagerank_broadcast(edges, src, dst, n_iter,
+                                   broadcast_max_nodes, "pagerank_fixedpoint")
     return _pagerank_shuffle(edges, src, dst, n_iter, n_buckets)
 
 
 def _pagerank_shuffle(edges: "ray.data.Dataset", src: str, dst: str,
-                      n_iter: int, n_buckets: int) -> "ray.data.Dataset":
+                      n_iter: int, n_buckets: int,
+                      seeds: set | None = None) -> "ray.data.Dataset":
     """Shuffle-mode PageRank (|V| beyond broadcast): each iteration = two
     bucketed joins (rank⋈outdeg → share; share delivered along edges with
-    the grouped sum pushed into the join task) + one partial+final sum."""
+    the grouped sum pushed into the join task) + one partial+final sum.
+    Teleport and initial mass sit on the `seeds` nodes; `seeds=None` seeds
+    every node without collecting the node set (k = its count)."""
     from ..functions.strings import round_half_up
 
     e = edges.select_columns([src, dst]).map_batches(
         lambda t: strip_schema_metadata(t).rename_columns(["u", "v"]),
         batch_format="pyarrow").materialize()
     nodes = _nodes_of(edges, src, dst).materialize()
-    n_nodes = nodes.count()
-    base = (n_nodes * UNITS) * (DAMP_DEN - DAMP_NUM) // (DAMP_DEN * n_nodes)
+    k = nodes.count() if seeds is None else len(seeds)
+    base = UNITS * (DAMP_DEN - DAMP_NUM) // DAMP_DEN
     node_type = pa.string()
+    seed_arr = None if seeds is None else pa.array(sorted(seeds), pa.string())
 
     outdeg = partial_final_agg(
         e.map_batches(lambda t: pa.table({"node": t.column("u")}),
                       batch_format="pyarrow"),
         ["node"], [("outdeg", None, "count")]).materialize()
 
-    ranks = nodes.map_batches(
-        lambda t: t.append_column("units",
-                                  pa.array(np.full(t.num_rows, UNITS),
-                                           pa.int64())),
-        batch_format="pyarrow").materialize()
+    def init_units(t: pa.Table) -> pa.Table:
+        t = strip_schema_metadata(t)
+        if seed_arr is None:
+            return t.append_column(
+                "units", pa.array(np.full(t.num_rows, UNITS), pa.int64()))
+        return t.append_column("units", pc.if_else(
+            pc.is_in(t.column("node"), value_set=seed_arr),
+            pa.scalar(UNITS, pa.int64()), pa.scalar(0, pa.int64())))
+
+    ranks = nodes.map_batches(init_units, batch_format="pyarrow").materialize()
 
     for _ in range(n_iter):
         # share per source node (rank joined to outdeg — both keyed by node)
@@ -442,8 +522,10 @@ def _pagerank_shuffle(edges: "ray.data.Dataset", src: str, dst: str,
 
         def refresh(df: pd.DataFrame) -> pd.DataFrame:
             s = df["in_sum"].fillna(0).astype("int64")
+            b = (base if seeds is None
+                 else np.where(df["node"].isin(seeds), base, 0))
             return pd.DataFrame({"node": df["node"],
-                                 "units": (base + s).astype("int64")})
+                                 "units": (b + s).astype("int64")})
 
         ranks = _bound_blocks(
             joined.map_batches(refresh, batch_format="pandas").materialize(),
@@ -451,7 +533,7 @@ def _pagerank_shuffle(edges: "ray.data.Dataset", src: str, dst: str,
 
     def finalize(t: pa.Table) -> pa.Table:
         units = t.column("units").to_numpy(zero_copy_only=False)
-        rank = round_half_up(units.astype(np.float64) / (n_nodes * UNITS), 9)
+        rank = round_half_up(units.astype(np.float64) / (k * UNITS), 9)
         return pa.table({"node": t.column("node"),
                          "rank_units": t.column("units"),
                          "rank": pa.array(rank, pa.float64())})
@@ -480,8 +562,6 @@ def khop_subgraph(edges: "ray.data.Dataset", seeds: "ray.data.Dataset",
     schema probes on lazy inputs.
     """
     if node_type is None:
-        from ..joins import _arrow_types
-
         node_type = _arrow_types(edges)[src]
     nt = node_type
     etypes = {src: nt, dst: nt}
@@ -507,8 +587,6 @@ def khop_subgraph(edges: "ray.data.Dataset", seeds: "ray.data.Dataset",
         if h < hops:
             # next frontier: distinct reached nodes, renamed to the source
             # column (grouped dedup — one row per node, stays distributed)
-            from ..aggregates import grouped_count
-
             frontier = grouped_count(
                 eh.select_columns([dst]), [dst], out_name="_n"
             ).map_batches(
@@ -535,27 +613,21 @@ def kcore_decomposition(edges: "ray.data.Dataset", src: str = "src",
     independent of removal order.
 
     `mode`: "broadcast" — degree/alive arrays over the sorted node
-    vocabulary, every peel round one vectorized pass (local numpy below
-    `LOCAL_MAX_EDGES`, else per-block `np.bincount` partials streamed to
-    the driver); "shuffle" — the huge-|V| fallback where each round is a
-    bucketed semi-join dropping low-degree endpoints and a grouped
-    re-count, nothing node-shaped ever on the driver; "auto" picks by the
-    distinct-node admission check (same policy as `connected_components`).
+    vocabulary, every peel round one add-scatter edge pass of the alive
+    degrees (`_EdgePasses`); "shuffle" — the huge-|V| fallback where each
+    round is a bucketed semi-join dropping low-degree endpoints and a
+    grouped re-count, nothing node-shaped ever on the driver; "auto" picks
+    by the distinct-node admission check (same policy as
+    `connected_components`).
     """
-    if mode == "auto":
-        mode = ("broadcast"
-                if _broadcast_fits(edges, src, dst, broadcast_max_nodes)
-                else "shuffle")
-    if mode == "broadcast":
-        return _kcore_broadcast(edges, src, dst)
+    if _pick_mode(mode, edges, src, dst, broadcast_max_nodes) == "broadcast":
+        return _kcore_broadcast(edges, src, dst, broadcast_max_nodes)
     return _kcore_shuffle(edges, src, dst, n_buckets)
 
 
 def _dedup_undirected(edges: "ray.data.Dataset", src: str,
                       dst: str) -> "ray.data.Dataset":
     """Distinct undirected (u < v) edge table, self-loops dropped."""
-    from ..aggregates import grouped_count, strip_schema_metadata
-
     def canon(t: pa.Table) -> pa.Table:
         t = strip_schema_metadata(t)
         a = t.column(src).combine_chunks().cast(pa.string())
@@ -571,64 +643,31 @@ def _dedup_undirected(edges: "ray.data.Dataset", src: str,
         ["u", "v"], out_name="_c").select_columns(["u", "v"])
 
 
-def _kcore_broadcast(edges: "ray.data.Dataset", src: str,
-                     dst: str) -> "ray.data.Dataset":
-    und = _dedup_undirected(edges, src, dst)
-    names, indexed = _index_edges(und, "u", "v")
+def _alive_ends(cols: dict, state: tuple):
+    """Degree pass: a count of 1 at both ends of every edge whose ends are
+    both alive (0 otherwise — cheaper than compressing the edge arrays),
+    `d` shifted by `shift` (0 sums both roles into one degree, |V| keeps
+    out- and in-degree apart in a 2|V| array)."""
+    alive, shift = state
+    s, d = cols["s"], cols["d"]
+    keep = (alive[s] & alive[d]).astype(np.int64)
+    return (np.concatenate([s, d.astype(np.int64) + shift]),
+            np.concatenate([keep, keep]))
+
+
+def _kcore_broadcast(edges: "ray.data.Dataset", src: str, dst: str,
+                     max_nodes: int) -> "ray.data.Dataset":
+    names, passes = _broadcast_edges(_dedup_undirected(edges, src, dst),
+                                     "u", "v", max_nodes,
+                                     "kcore_decomposition")
     n = len(names)
     core = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return ray.data.from_arrow(pa.table({
-            "node": pa.array([], pa.string()),
-            "core": pa.array([], pa.int64())}))
-
-    def degrees(s: np.ndarray, d: np.ndarray, alive: np.ndarray) -> np.ndarray:
-        keep = alive[s] & alive[d]
-        return (np.bincount(s[keep], minlength=n)
-                + np.bincount(d[keep], minlength=n))
-
-    if indexed.count() <= LOCAL_MAX_EDGES:
-        s, d = _collect_indexed(indexed)
-        alive = np.ones(n, dtype=bool)
-        k = 1
-        while alive.any():
-            while True:
-                deg = degrees(s, d, alive)
-                low = alive & (deg < k)
-                if not low.any():
-                    break
-                core[low] = k - 1
-                alive &= ~low
-            k += 1
-        return ray.data.from_arrow(pa.table({
-            "node": pa.array(list(names)),
-            "core": pa.array(core, pa.int64())}))
-
-    # distributed rounds: alive mask broadcast per round, per-block degree
-    # partials (np.bincount over the int32 edge blocks) summed on the
-    # driver — O(|V|) driver state, never O(|E|)
     alive = np.ones(n, dtype=bool)
     k = 1
     while alive.any():
         while True:
-            alive_ref = ray.put(alive)
-
-            def part_deg(df: pd.DataFrame) -> pd.DataFrame:
-                a = ray.get(alive_ref)
-                s = df["s"].to_numpy()
-                d = df["d"].to_numpy()
-                keep = a[s] & a[d]
-                cnt = (np.bincount(s[keep], minlength=len(a))
-                       + np.bincount(d[keep], minlength=len(a)))
-                nz = np.nonzero(cnt)[0]
-                return pd.DataFrame({"i": nz.astype(np.int64),
-                                     "c": cnt[nz].astype(np.int64)})
-
-            deg = np.zeros(n, dtype=np.int64)
-            for b in indexed.map_batches(
-                    part_deg, batch_format="pandas").iter_batches(
-                    batch_format="pandas"):
-                np.add.at(deg, b["i"].to_numpy(), b["c"].to_numpy())
+            deg = passes.scatter(_alive_ends, (alive, 0), np.add,
+                                 np.zeros(n, np.int64))
             low = alive & (deg < k)
             if not low.any():
                 break
@@ -636,7 +675,7 @@ def _kcore_broadcast(edges: "ray.data.Dataset", src: str,
             alive &= ~low
         k += 1
     return ray.data.from_arrow(pa.table({
-        "node": pa.array(list(names)),
+        "node": pa.array(list(names), pa.string()),
         "core": pa.array(core, pa.int64())}))
 
 
@@ -648,9 +687,6 @@ def _kcore_shuffle(edges: "ray.data.Dataset", src: str, dst: str,
     isolated survivors peel too), and drops edges touching peeled nodes
     via two bucketed anti-join passes. All data motion is bucketed
     shuffles; the driver sees only per-round changed-row counts."""
-    from ..aggregates import grouped_count, strip_schema_metadata
-    from ..joins import hash_join
-
     s_t, i_t = pa.string(), pa.int64()
     alive = _dedup_undirected(edges, src, dst).materialize()
 
@@ -734,6 +770,27 @@ def _kcore_shuffle(edges: "ray.data.Dataset", src: str, dst: str,
     return res
 
 
+def _bfs_adjacency(edges: "ray.data.Dataset", src: str, dst: str,
+                   undirected: bool) -> "ray.data.Dataset":
+    """The materialized adjacency a BFS expands: `edges`, or its distinct
+    symmetrized (src, dst) pairs when `undirected`."""
+    if undirected:
+        edges = grouped_count(_symmetrize(edges, src, dst), [src, dst],
+                              out_name="_c").select_columns([src, dst])
+    return edges.materialize()
+
+
+def _stamp_dist(h: int):
+    """Batch fn appending a constant int64 `dist` = h (a BFS round)."""
+
+    def fn(t: pa.Table) -> pa.Table:
+        t = strip_schema_metadata(t)
+        return t.append_column(
+            "dist", pa.array(np.full(t.num_rows, h), pa.int64()))
+
+    return fn
+
+
 def bfs_distances(edges: "ray.data.Dataset", seeds: "ray.data.Dataset",
                   src: str = "src", dst: str = "dst", max_rounds: int = 3,
                   n_buckets: int = 32, undirected: bool = True,
@@ -756,43 +813,15 @@ def bfs_distances(edges: "ray.data.Dataset", seeds: "ray.data.Dataset",
 
     `seeds` must have exactly one column named `node`."""
     if node_type is None:
-        from ..joins import _arrow_types
-
         node_type = _arrow_types(edges)[src]
     nt = node_type
 
-    adj = edges
-    if undirected:
-        def sym(t: pa.Table) -> pa.Table:
-            t = strip_schema_metadata(t)
-            u = t.column(src)
-            v = t.column(dst)
-            c = pa.chunked_array(list(u.chunks) + list(v.chunks), u.type)
-            n = pa.chunked_array(list(v.chunks) + list(u.chunks), u.type)
-            return pa.table({src: c, dst: n})
-
-        from ..aggregates import grouped_count
-
-        adj = grouped_count(
-            edges.map_batches(sym, batch_format="pyarrow"), [src, dst],
-            out_name="_c").select_columns([src, dst])
-    adj = adj.materialize()
-
-    from ..aggregates import grouped_count
-
-    def stamp_dist(h: int):
-        def fn(t: pa.Table) -> pa.Table:
-            t = strip_schema_metadata(t)
-            return t.append_column(
-                "dist", pa.array(np.full(t.num_rows, h), pa.int64()))
-
-        return fn
-
+    adj = _bfs_adjacency(edges, src, dst, undirected)
     rounds: list["ray.data.Dataset"] = [
         seeds.map_batches(
             lambda t: strip_schema_metadata(t).select(["node"]),
             batch_format="pyarrow").map_batches(
-            stamp_dist(0), batch_format="pyarrow").materialize()]
+            _stamp_dist(0), batch_format="pyarrow").materialize()]
     frontier = rounds[0].map_batches(
         lambda t: strip_schema_metadata(t).select(
             ["node"]).rename_columns([src]),
@@ -808,7 +837,7 @@ def bfs_distances(edges: "ray.data.Dataset", seeds: "ray.data.Dataset",
             lambda t: strip_schema_metadata(t).select(
                 [dst]).rename_columns(["node"]),
             batch_format="pyarrow").map_batches(
-            stamp_dist(h), batch_format="pyarrow").materialize()
+            _stamp_dist(h), batch_format="pyarrow").materialize()
         rounds.append(nodes)
         if h < max_rounds:
             frontier = nodes.map_batches(
@@ -837,35 +866,10 @@ def bfs_distances_per_seed(edges: "ray.data.Dataset",
 
     `seeds` must have exactly one column named `node`."""
     if node_type is None:
-        from ..joins import _arrow_types
-
         node_type = _arrow_types(edges)[src]
     nt = node_type
 
-    from ..aggregates import grouped_count
-
-    adj = edges
-    if undirected:
-        def sym(t: pa.Table) -> pa.Table:
-            t = strip_schema_metadata(t)
-            u = t.column(src)
-            v = t.column(dst)
-            c = pa.chunked_array(list(u.chunks) + list(v.chunks), u.type)
-            n = pa.chunked_array(list(v.chunks) + list(u.chunks), u.type)
-            return pa.table({src: c, dst: n})
-
-        adj = grouped_count(
-            edges.map_batches(sym, batch_format="pyarrow"), [src, dst],
-            out_name="_c").select_columns([src, dst])
-    adj = adj.materialize()
-
-    def stamp_dist(h: int):
-        def fn(t: pa.Table) -> pa.Table:
-            t = strip_schema_metadata(t)
-            return t.append_column(
-                "dist", pa.array(np.full(t.num_rows, h), pa.int64()))
-
-        return fn
+    adj = _bfs_adjacency(edges, src, dst, undirected)
 
     def seed_self(t: pa.Table) -> pa.Table:
         t = strip_schema_metadata(t)
@@ -874,7 +878,7 @@ def bfs_distances_per_seed(edges: "ray.data.Dataset",
 
     rounds: list["ray.data.Dataset"] = [
         seeds.map_batches(seed_self, batch_format="pyarrow").map_batches(
-            stamp_dist(0), batch_format="pyarrow").materialize()]
+            _stamp_dist(0), batch_format="pyarrow").materialize()]
     frontier = rounds[0].map_batches(
         lambda t: strip_schema_metadata(t).select(
             ["node", "seed"]).rename_columns([src, "seed"]),
@@ -892,7 +896,7 @@ def bfs_distances_per_seed(edges: "ray.data.Dataset",
             lambda t: strip_schema_metadata(t).select(
                 [dst, "seed"]).rename_columns(["node", "seed"]),
             batch_format="pyarrow").map_batches(
-            stamp_dist(h), batch_format="pyarrow").materialize()
+            _stamp_dist(h), batch_format="pyarrow").materialize()
         rounds.append(nodes)
         if h < max_rounds:
             frontier = nodes.map_batches(
@@ -915,9 +919,9 @@ def personalized_pagerank(edges: "ray.data.Dataset",
                           ) -> "ray.data.Dataset":
     """(node, rank_units, rank) — PageRank personalized to a seed set
     (entity relatedness / recommendation over the extracted KG: rank mass
-    teleports back to `seeds` instead of uniformly). Same exact-int64
-    fixed-point discipline as `pagerank_fixedpoint`, same dual
-    broadcast/shuffle execution, identical result in both modes.
+    teleports back to `seeds` instead of uniformly). The same exact-int64
+    iteration as `pagerank_fixedpoint` (which is this with every node
+    seeded), in either execution mode, identical result in both.
 
     Spec (k = |seeds|, total teleport mass fixed at k·UNITS):
       units⁰(v)   = UNITS if v ∈ S else 0
@@ -928,159 +932,15 @@ def personalized_pagerank(edges: "ray.data.Dataset",
     `seeds` must have one column `node`; the seed set is collected to the
     driver (personalization sets are small by nature — an assert guards
     the admission)."""
-    from ..functions.strings import round_half_up
-
     seed_names = [r["node"] for r in seeds.take_all()]
     assert len(seed_names) <= 100_000, "personalization set too large"
     seed_set = set(seed_names)
-    k = len(seed_set)
-    base_seed = UNITS * (DAMP_DEN - DAMP_NUM) // DAMP_DEN
-
-    if mode == "auto":
-        mode = ("broadcast"
-                if _broadcast_fits(edges, src, dst, broadcast_max_nodes)
-                else "shuffle")
-
-    if mode == "broadcast":
-        names, indexed = _index_edges(edges, src, dst)
-        n_nodes = len(names)
-        name_list = list(names)
-        pos = {n: i for i, n in enumerate(name_list)}
-        seed_idx = np.array(sorted(pos[s] for s in seed_set if s in pos),
-                            dtype=np.int64)
-        base_vec = np.zeros(n_nodes, dtype=np.int64)
-        base_vec[seed_idx] = base_seed
-
-        def one_pass_outdeg():
-            outdeg = np.zeros(n_nodes, dtype=np.int64)
-            for batch in indexed.map_batches(
-                    lambda df: pd.DataFrame(
-                        dict(zip(("n", "c"),
-                                 np.unique(df["s"].to_numpy(),
-                                           return_counts=True)))),
-                    batch_format="pandas").iter_batches(batch_format="numpy"):
-                np.add.at(outdeg, batch["n"], batch["c"].astype(np.int64))
-            return outdeg
-
-        if indexed.count() <= LOCAL_MAX_EDGES:
-            s, d = _collect_indexed(indexed)
-            outdeg = np.zeros(n_nodes, dtype=np.int64)
-            np.add.at(outdeg, s, 1)
-            units = np.zeros(n_nodes, dtype=np.int64)
-            units[seed_idx] = UNITS
-            for _ in range(n_iter):
-                share = np.zeros(n_nodes, dtype=np.int64)
-                nz = outdeg > 0
-                share[nz] = units[nz] * DAMP_NUM // (DAMP_DEN * outdeg[nz])
-                incoming = np.zeros(n_nodes, dtype=np.int64)
-                np.add.at(incoming, d, share[s])
-                units = base_vec + incoming
-        else:
-            outdeg = one_pass_outdeg()
-            units = np.zeros(n_nodes, dtype=np.int64)
-            units[seed_idx] = UNITS
-            for _ in range(n_iter):
-                share = np.zeros(n_nodes, dtype=np.int64)
-                nz = outdeg > 0
-                share[nz] = units[nz] * DAMP_NUM // (DAMP_DEN * outdeg[nz])
-                share_ref = ray.put(share)
-
-                def deliver(df: pd.DataFrame) -> pd.DataFrame:
-                    sh = ray.get(share_ref)
-                    acc = np.zeros(len(sh), dtype=np.int64)
-                    np.add.at(acc, df["d"].to_numpy(),
-                              sh[df["s"].to_numpy()])
-                    touched = np.nonzero(acc)[0]
-                    return pd.DataFrame({"n": touched.astype(np.int64),
-                                         "v": acc[touched]})
-
-                incoming = np.zeros(n_nodes, dtype=np.int64)
-                for batch in indexed.map_batches(
-                        deliver, batch_format="pandas").iter_batches(
-                        batch_format="numpy"):
-                    np.add.at(incoming, batch["n"], batch["v"])
-                units = base_vec + incoming
-        rank = round_half_up(units.astype(np.float64) / (k * UNITS), 9)
-        out = pa.table({"node": pa.array(name_list, pa.string()),
-                        "rank_units": pa.array(units, pa.int64()),
-                        "rank": pa.array(rank, pa.float64())})
-        return ray.data.from_arrow(out)
-
-    # ---- shuffle mode (|V| beyond broadcast): same loop as
-    # _pagerank_shuffle with the teleport term gated on seed membership
-    e = edges.select_columns([src, dst]).map_batches(
-        lambda t: strip_schema_metadata(t).rename_columns(["u", "v"]),
-        batch_format="pyarrow").materialize()
-    nodes = _nodes_of(edges, src, dst).materialize()
-    node_type = pa.string()
-
-    outdeg = partial_final_agg(
-        e.map_batches(lambda t: pa.table({"node": t.column("u")}),
-                      batch_format="pyarrow"),
-        ["node"], [("outdeg", None, "count")]).materialize()
-
-    seed_arr = pa.array(sorted(seed_set), pa.string())
-
-    def init_units(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        is_seed = pc.is_in(t.column("node"), value_set=seed_arr)
-        u = pc.if_else(is_seed, pa.scalar(UNITS, pa.int64()),
-                       pa.scalar(0, pa.int64()))
-        return t.append_column("units", u.combine_chunks()
-                               if isinstance(u, pa.ChunkedArray) else u)
-
-    ranks = nodes.map_batches(init_units, batch_format="pyarrow").materialize()
-
-    for _ in range(n_iter):
-        shares = hash_join(
-            ranks, outdeg, on="node", n_buckets=n_buckets,
-            left_types={"node": node_type, "units": pa.int64()},
-            right_types={"node": node_type, "outdeg": pa.int64()},
-            bucket_post=lambda df: pd.DataFrame({
-                "node": df["node"],
-                "share": (df["units"].to_numpy() * DAMP_NUM)
-                         // (DAMP_DEN * df["outdeg"].to_numpy()),
-            }),
-        )
-        delivered = hash_join(
-            e, shares.map_batches(lambda t: t.rename_columns(["u", "share"]),
-                                  batch_format="pyarrow"),
-            on="u", n_buckets=n_buckets,
-            left_types={"u": node_type, "v": node_type},
-            right_types={"u": node_type, "share": pa.int64()},
-            bucket_post=lambda df: df.groupby("v", as_index=False)
-                                     .agg(in_sum=("share", "sum")),
-        )
-        summed = partial_final_agg(
-            delivered.map_batches(
-                lambda t: t.rename_columns(["node", "in_sum"]),
-                batch_format="pyarrow"),
-            ["node"], [("in_sum", "in_sum", "sum")])
-        joined = hash_join(
-            nodes, summed, on="node", n_buckets=n_buckets, how="left",
-            left_types={"node": node_type},
-            right_types={"node": node_type, "in_sum": pa.int64()},
-        )
-
-        def refresh(df: pd.DataFrame) -> pd.DataFrame:
-            s = df["in_sum"].fillna(0).astype("int64")
-            b = np.where(df["node"].isin(seed_set), base_seed, 0)
-            return pd.DataFrame({"node": df["node"],
-                                 "units": (b + s).astype("int64")})
-
-        ranks = joined.map_batches(refresh,
-                                   batch_format="pandas").materialize()
-        # block-count discipline: joins in a loop double blocks per round
-        ranks = ranks.repartition(n_buckets).materialize()
-
-    def finalize(t: pa.Table) -> pa.Table:
-        units = t.column("units").to_numpy(zero_copy_only=False)
-        rank = round_half_up(units.astype(np.float64) / (k * UNITS), 9)
-        return pa.table({"node": t.column("node"),
-                         "rank_units": t.column("units"),
-                         "rank": pa.array(rank, pa.float64())})
-
-    return ranks.map_batches(finalize, batch_format="pyarrow")
+    if _pick_mode(mode, edges, src, dst, broadcast_max_nodes) == "broadcast":
+        return _pagerank_broadcast(edges, src, dst, n_iter,
+                                   broadcast_max_nodes,
+                                   "personalized_pagerank", seeds=seed_set)
+    return _pagerank_shuffle(edges, src, dst, n_iter, n_buckets,
+                             seeds=seed_set)
 
 
 def strongly_connected_components(edges: "ray.data.Dataset",
@@ -1111,8 +971,8 @@ def strongly_connected_components(edges: "ray.data.Dataset",
     arrays over the sorted node vocabulary — the same |V|-bounded
     broadcast-mode contract as `connected_components` / `pagerank` (KG
     node vocabularies are orders of magnitude smaller than edge sets);
-    the edge list is collected int32 below LOCAL_MAX_EDGES and otherwise
-    streamed per pass with the state `ray.put` per round.
+    trim, color and mark are each one `_EdgePasses` kernel (add-, min- and
+    add-scatter).
 
     `mode`: "broadcast" (state arrays on the driver, admission-bounded by
     `broadcast_max_nodes`), "shuffle" (the `_scc_shuffle` bucketed-join
@@ -1121,40 +981,11 @@ def strongly_connected_components(edges: "ray.data.Dataset",
     "auto" (broadcast when the vocabulary fits, else shuffle). The shuffle
     path pays O(longest remaining path) bucketed rounds per fixpoint —
     `max_rounds` caps the total with an explicit error, not a hang."""
-    if mode == "auto":
-        mode = ("broadcast"
-                if _broadcast_fits(edges, src, dst, broadcast_max_nodes)
-                else "shuffle")
-    if mode == "shuffle":
+    if _pick_mode(mode, edges, src, dst, broadcast_max_nodes) == "shuffle":
         return _scc_shuffle(edges, src, dst, n_buckets, max_rounds)
-    names, indexed = _index_edges(edges, src, dst)
+    names, passes = _broadcast_edges(edges, src, dst, broadcast_max_nodes,
+                                     "strongly_connected_components")
     n = len(names)
-    if n > broadcast_max_nodes:
-        raise ValueError(
-            f"strongly_connected_components: |V|={n} exceeds the broadcast "
-            f"admission ({broadcast_max_nodes}); use mode='auto'/'shuffle' "
-            "for the bucketed-join fallback")
-    if n == 0:
-        return ray.data.from_arrow(pa.table({
-            "node": pa.array([], pa.string()),
-            "scc_id": pa.array([], pa.string())}))
-
-    local = indexed.count() <= LOCAL_MAX_EDGES
-    if local:
-        s_all, d_all = _collect_indexed(indexed)
-        s_all = s_all.astype(np.int64)
-        d_all = d_all.astype(np.int64)
-
-    def passes(fn):
-        """Run fn(s, d) over the (alive-unfiltered) edge arrays: locally in
-        one call, or streamed block-wise (fn must be merge-commutative —
-        every use below is a min- or or-scatter into driver state)."""
-        if local:
-            fn(s_all, d_all)
-            return
-        for b in indexed.iter_batches(batch_format="numpy"):
-            fn(b["s"].astype(np.int64), b["d"].astype(np.int64))
-
     INF = np.iinfo(np.int64).max
     alive = np.ones(n, dtype=bool)
     scc = np.full(n, -1, dtype=np.int64)
@@ -1162,16 +993,9 @@ def strongly_connected_components(edges: "ray.data.Dataset",
     while alive.any():
         # ---- trim to fixpoint: in0/out0 alive nodes are singleton SCCs
         while True:
-            outd = np.zeros(n, dtype=np.int64)
-            ind = np.zeros(n, dtype=np.int64)
-
-            def deg(s, d):
-                keep = alive[s] & alive[d]
-                np.add.at(outd, s[keep], 1)
-                np.add.at(ind, d[keep], 1)
-
-            passes(deg)
-            trim = alive & ((outd == 0) | (ind == 0))
+            deg = passes.scatter(_alive_ends, (alive, n), np.add,
+                                 np.zeros(2 * n, np.int64))
+            trim = alive & ((deg[:n] == 0) | (deg[n:] == 0))
             if not trim.any():
                 break
             ix = np.nonzero(trim)[0]
@@ -1185,12 +1009,7 @@ def strongly_connected_components(edges: "ray.data.Dataset",
         color[~alive] = INF
         while True:
             before = color.copy()
-
-            def fwd(s, d):
-                keep = alive[s] & alive[d]
-                np.minimum.at(color, d[keep], before[s[keep]])
-
-            passes(fwd)
+            passes.scatter(_forward_color, (alive, before), np.minimum, color)
             if (color == before).all():
                 break
 
@@ -1199,25 +1018,37 @@ def strongly_connected_components(edges: "ray.data.Dataset",
         mark = np.zeros(n, dtype=bool)
         mark[ix_alive[color[ix_alive] == ix_alive]] = True
         while True:
-            before_m = mark.copy()
-
-            def bwd(s, d):
-                keep = (alive[s] & alive[d] & before_m[d]
-                        & (color[s] == color[d]))
-                mark[s[keep]] = True
-
-            passes(bwd)
-            if (mark == before_m).all():
+            hits = passes.scatter(_backward_mark, (alive, color, mark),
+                                  np.add, np.zeros(n, np.int64))
+            new_mark = mark | (hits > 0)
+            if (new_mark == mark).all():
                 break
+            mark = new_mark
 
         ix = np.nonzero(alive & mark)[0]
         scc[ix] = color[ix]
         alive[ix] = False
 
-    name_list = list(names)
     return ray.data.from_arrow(pa.table({
-        "node": pa.array(name_list, pa.string()),
-        "scc_id": pa.array([name_list[i] for i in scc], pa.string())}))
+        "node": pa.array(list(names), pa.string()),
+        "scc_id": pa.array(names[scc].tolist(), pa.string())}))
+
+
+def _forward_color(cols: dict, state: tuple):
+    """SCC color pass: color(s) offered to d over alive edges (min); a dead
+    s already has color INF, a dead d is offered INF."""
+    alive, color = state
+    s, d = cols["s"], cols["d"]
+    return d, np.where(alive[d], color[s], np.iinfo(np.int64).max)
+
+
+def _backward_mark(cols: dict, state: tuple):
+    """SCC mark pass: a hit on s for every alive intra-color edge into a
+    marked d (0 for every other edge)."""
+    alive, color, mark = state
+    s, d = cols["s"], cols["d"]
+    keep = alive[s] & alive[d] & mark[d] & (color[s] == color[d])
+    return s, keep.astype(np.int64)
 
 
 def _scc_shuffle(edges: "ray.data.Dataset", src: str, dst: str,
@@ -1470,88 +1301,61 @@ def label_propagation(edges: "ray.data.Dataset", src: str = "src",
     broadcast mode — KG vocabularies are far smaller than edge sets; callers
     above `broadcast_max_nodes` get an explicit error, not a silent cliff,
     because a shuffle fallback would pay one groupby-argmax shuffle per
-    round). The edge list is collected int64 below LOCAL_MAX_EDGES,
-    otherwise each round streams compacted per-block (node, label, count)
-    partials to the driver (counts commute; merge is exact int64).
+    round). Each round is one `_label_votes` pass with the sparse-sum merge
+    of `_EdgePasses.votes` (counts commute; merge is exact int64).
 
     Input contract: DISTINCT directed edges (callers dedup first, as the
     CC/PageRank family does) — a multi-edge input would double votes.
     """
-    names, indexed = _index_edges(edges, src, dst)
+    names, passes = _broadcast_edges(edges, src, dst, broadcast_max_nodes,
+                                     "label_propagation")
     n = len(names)
-    if n > broadcast_max_nodes:
-        raise ValueError(
-            f"label_propagation: |V|={n} exceeds the broadcast admission "
-            f"({broadcast_max_nodes}); no shuffle fallback is provided "
-            "(see docstring)")
-    if n == 0:
-        return ray.data.from_arrow(pa.table({
-            "node": pa.array([], pa.string()),
-            "community": pa.array([], pa.string())}))
-
-    local = indexed.count() <= LOCAL_MAX_EDGES
-    if local:
-        s_all, d_all = _collect_indexed(indexed)
-        s_all = s_all.astype(np.int64)
-        d_all = d_all.astype(np.int64)
-
     labels = np.arange(n, dtype=np.int64)
-    nn = np.int64(n)  # key = node * n + label fits int64 under the admission
-
-    def vote_partial(s: np.ndarray, d: np.ndarray, lab: np.ndarray):
-        vn = np.concatenate([d, s])
-        vl = np.concatenate([lab[s], lab[d]])
-        key = vn * nn + vl
-        uk, cnt = np.unique(key, return_counts=True)
-        return uk, cnt.astype(np.int64)
-
+    n_labels = max(n, 1)  # key = node * n + label fits int64 under admission
     for _ in range(n_iter):
-        if local:
-            keys, cnts = vote_partial(s_all, d_all, labels)
-        else:
-            lab_ref = ray.put(labels)
-
-            def part(b: dict) -> dict:
-                lab = ray.get(lab_ref)
-                uk, c = vote_partial(b["s"].astype(np.int64),
-                                     b["d"].astype(np.int64), lab)
-                return {"k": uk, "c": c}
-
-            acc_k = np.zeros(0, dtype=np.int64)
-            acc_c = np.zeros(0, dtype=np.int64)
-            for b in indexed.map_batches(
-                    part, batch_format="numpy").iter_batches(
-                    batch_format="numpy"):
-                acc_k = np.concatenate([acc_k, b["k"]])
-                acc_c = np.concatenate([acc_c, b["c"]])
-                if len(acc_k) > 4_000_000:  # re-compact the running merge
-                    uk, inv = np.unique(acc_k, return_inverse=True)
-                    m = np.zeros(len(uk), dtype=np.int64)
-                    np.add.at(m, inv, acc_c)
-                    acc_k, acc_c = uk, m
-            keys, inv = np.unique(acc_k, return_inverse=True)
-            cnts = np.zeros(len(keys), dtype=np.int64)
-            np.add.at(cnts, inv, acc_c)
-
-        vn = keys // nn
-        vl = keys % nn
-        # winner per node: count DESC, then label ASC (lexsort: last key is
-        # the primary) — first row of each node group after the sort
-        order = np.lexsort((vl, -cnts, vn))
-        vn_s = vn[order]
-        vl_s = vl[order]
-        head = np.ones(len(vn_s), dtype=bool)
-        head[1:] = vn_s[1:] != vn_s[:-1]
+        keys, cnts = passes.votes(_label_votes, (labels, n_labels))
+        vn, vl = _modal_labels(keys, cnts, n_labels)
         new = labels.copy()
-        new[vn_s[head]] = vl_s[head]
+        new[vn] = vl
         if (new == labels).all():
             break
         labels = new
 
-    name_list = list(names)
     return ray.data.from_arrow(pa.table({
-        "node": pa.array(name_list, pa.string()),
-        "community": pa.array([name_list[i] for i in labels], pa.string())}))
+        "node": pa.array(list(names), pa.string()),
+        "community": pa.array(names[labels].tolist(), pa.string())}))
+
+
+def _label_votes(cols: dict, state: tuple):
+    """Vote pass: each edge votes its labelled source's label onto its
+    destination and its labelled destination's onto its source (label -1 =
+    none); returns unique keys node·n_labels + label with their counts."""
+    lab, n_labels = state
+    s = cols["s"].astype(np.int64)
+    d = cols["d"].astype(np.int64)
+    ls, ld = lab[s], lab[d]
+    ms, md = ls >= 0, ld >= 0
+    key = (np.concatenate([d[ms], s[md]]) * n_labels
+           + np.concatenate([ls[ms], ld[md]]))
+    uk, cnt = np.unique(key, return_counts=True)
+    return uk, cnt.astype(np.int64)
+
+
+def _modal_labels(keys: np.ndarray, cnts: np.ndarray, n_labels: int,
+                  open_nodes: np.ndarray | None = None):
+    """(nodes, labels): per voted node (only `open_nodes`, when given) the
+    label with the most votes, ties to the smallest label."""
+    vn, vl = np.divmod(keys, n_labels)
+    if open_nodes is not None:
+        keep = open_nodes[vn]
+        vn, vl, cnts = vn[keep], vl[keep], cnts[keep]
+    # count DESC, then label ASC (lexsort: last key is the primary) — first
+    # row of each node group after the sort
+    order = np.lexsort((vl, -cnts, vn))
+    vn, vl = vn[order], vl[order]
+    head = np.ones(len(vn), dtype=bool)
+    head[1:] = vn[1:] != vn[:-1]
+    return vn[head], vl[head]
 
 
 HITS_UNITS = 1_000_000  # 1.0 of hub/authority mass, in micro-units
@@ -1574,61 +1378,20 @@ def hits_scores(edges: "ray.data.Dataset", src: str = "src",
 
     Execution contract mirrors `label_propagation`: driver score arrays
     over the sorted |V|-bounded vocabulary (admission error above the
-    cap), edge list local below LOCAL_MAX_EDGES else streamed per pass
-    with compacted per-block partials. Exactness bound (asserted): the
-    pre-rescale maximum must stay below 2^63 / HITS_UNITS ≈ 9.2e12 —
-    i.e. max in/out degree below ~9.2e6, far above any |V|-bounded KG."""
-    names, indexed = _index_edges(edges, src, dst)
+    cap), each half-iteration one add-scatter `_EdgePasses` pass.
+    Exactness bound (asserted): the pre-rescale maximum must stay below
+    2^63 / HITS_UNITS ≈ 9.2e12 — i.e. max in/out degree below ~9.2e6, far
+    above any |V|-bounded KG."""
+    names, passes = _broadcast_edges(edges, src, dst, broadcast_max_nodes,
+                                     "hits_scores")
     n = len(names)
-    if n > broadcast_max_nodes:
-        raise ValueError(
-            f"hits_scores: |V|={n} exceeds the broadcast admission "
-            f"({broadcast_max_nodes}); no shuffle fallback is provided "
-            "(see label_propagation docstring)")
-    if n == 0:
-        return ray.data.from_arrow(pa.table({
-            "node": pa.array([], pa.string()),
-            "auth_units": pa.array([], pa.int64()),
-            "hub_units": pa.array([], pa.int64())}))
 
-    local = indexed.count() <= LOCAL_MAX_EDGES
-    if local:
-        s_all, d_all = _collect_indexed(indexed)
-        s_all = s_all.astype(np.int64)
-        d_all = d_all.astype(np.int64)
-
-    def scatter(from_ix_col: str, vals: np.ndarray) -> np.ndarray:
-        """One exact int64 sum-scatter pass over the edge set: returns
-        acc[to] = Σ vals[from] (from/to = (s, d) or (d, s))."""
-        acc = np.zeros(n, dtype=np.int64)
-        if local:
-            if from_ix_col == "s":
-                np.add.at(acc, d_all, vals[s_all])
-            else:
-                np.add.at(acc, s_all, vals[d_all])
-            return acc
-        val_ref = ray.put(vals)
-
-        def part(b: dict) -> dict:
-            v = ray.get(val_ref)
-            s = b["s"].astype(np.int64)
-            d = b["d"].astype(np.int64)
-            loc = np.zeros(len(v), dtype=np.int64)
-            if from_ix_col == "s":
-                np.add.at(loc, d, v[s])
-            else:
-                np.add.at(loc, s, v[d])
-            touched = np.nonzero(loc)[0]
-            return {"n": touched.astype(np.int64), "v": loc[touched]}
-
-        for b in indexed.map_batches(
-                part, batch_format="numpy").iter_batches(
-                batch_format="numpy"):
-            np.add.at(acc, b["n"], b["v"])
-        return acc
+    def scatter(vals: np.ndarray, forward: bool) -> np.ndarray:
+        return passes.scatter(_hits_step, (vals, forward), np.add,
+                              np.zeros(n, np.int64))
 
     def rescale(x: np.ndarray) -> np.ndarray:
-        mx = int(x.max())
+        mx = int(x.max(initial=0))
         if mx <= 0:
             return x
         assert mx < (2 ** 63) // HITS_UNITS, "hits_scores: degree overflow"
@@ -1641,13 +1404,21 @@ def hits_scores(edges: "ray.data.Dataset", src: str = "src",
     hub = np.full(n, HITS_UNITS, dtype=np.int64)
     auth = np.zeros(n, dtype=np.int64)
     for _ in range(n_iter):
-        auth = rescale(scatter("s", hub))
-        hub = rescale(scatter("d", auth))
+        auth = rescale(scatter(hub, True))
+        hub = rescale(scatter(auth, False))
 
     return ray.data.from_arrow(pa.table({
         "node": pa.array(list(names), pa.string()),
         "auth_units": pa.array(auth, pa.int64()),
         "hub_units": pa.array(hub, pa.int64())}))
+
+
+def _hits_step(cols: dict, state: tuple):
+    """HITS half-iteration pass: Σ vals[u] at v over u→v (forward), or
+    Σ vals[v] at u (backward)."""
+    vals, forward = state
+    s, d = cols["s"], cols["d"]
+    return (d, vals[s]) if forward else (s, vals[d])
 
 
 def pagerank_weighted(edges: "ray.data.Dataset", src: str = "src",
@@ -1669,101 +1440,13 @@ def pagerank_weighted(edges: "ray.data.Dataset", src: str = "src",
     100·max(W_out)·max(w) < 2^63. Floor/dangling mass is dropped, same
     documented discipline as the unweighted spec.
 
-    Scale shape: broadcast-mode fixpoint (|V| ≤ `broadcast_max_nodes`
-    admission — explicit error beyond, the kg_scc discipline: a shuffle
-    fixpoint would pay per-iteration join latency) with the same two
-    sub-paths as `_pagerank_broadcast`: edges ≤ LOCAL_MAX_EDGES run the
-    loop as local numpy; larger edge sets stream every pass with the
-    (q, r, b) share arrays broadcast via `ray.put` (bit-identical,
-    pinned by a LOCAL_MAX_EDGES=0 test)."""
-    from ..functions.strings import round_half_up
-
-    edges = edges.materialize()
-    name_rows = _nodes_of(edges, src, dst).take_all()
-    if len(name_rows) > broadcast_max_nodes:
-        raise ValueError(
-            f"pagerank_weighted: |V|={len(name_rows)} exceeds the "
-            f"broadcast admission ({broadcast_max_nodes})")
-    names = np.array(sorted(r["node"] for r in name_rows), dtype=object)
-    n_nodes = len(names)
-    idx_ref = ray.put({n: i for i, n in enumerate(names)})
-
-    def to_idx(df: pd.DataFrame) -> pd.DataFrame:
-        m = ray.get(idx_ref)
-        return pd.DataFrame({
-            "s": df[src].map(m).to_numpy(dtype=np.int32),
-            "d": df[dst].map(m).to_numpy(dtype=np.int32),
-            "w": df[weight].to_numpy(dtype=np.int64),
-        })
-
-    indexed = edges.select_columns([src, dst, weight]).map_batches(
-        to_idx, batch_format="pandas").materialize()
-    base = (n_nodes * UNITS) * (DAMP_DEN - DAMP_NUM) // (DAMP_DEN * n_nodes)
-
-    # weighted out-mass per source (|V|-bounded driver array)
-    wout = np.zeros(n_nodes, dtype=np.int64)
-    wmax = 0
-    for b in indexed.iter_batches(batch_format="numpy"):
-        np.add.at(wout, b["s"], b["w"])
-        if len(b["w"]):
-            wmax = max(wmax, int(b["w"].max()))
-    assert DAMP_DEN * int(wout.max(initial=0)) * max(wmax, 1) < 2 ** 63, \
-        "pagerank_weighted: 100·max(W_out)·max(w) must fit int64"
-
-    def share_arrays(units: np.ndarray):
-        a = units * DAMP_NUM
-        b = DAMP_DEN * wout
-        nz = wout > 0
-        q = np.zeros(n_nodes, dtype=np.int64)
-        r = np.zeros(n_nodes, dtype=np.int64)
-        q[nz], r[nz] = np.divmod(a[nz], b[nz])
-        return q, r, b
-
-    units = np.full(n_nodes, UNITS, dtype=np.int64)
-    if indexed.count() <= LOCAL_MAX_EDGES:
-        ss, dd, ww = [], [], []
-        for b in indexed.iter_batches(batch_format="numpy"):
-            ss.append(b["s"])
-            dd.append(b["d"])
-            ww.append(b["w"])
-        s = np.concatenate(ss) if ss else np.zeros(0, np.int32)
-        d = np.concatenate(dd) if dd else np.zeros(0, np.int32)
-        w = np.concatenate(ww) if ww else np.zeros(0, np.int64)
-        for _ in range(n_iter):
-            q, r, b = share_arrays(units)
-            delivered = q[s] * w + (r[s] * w) // np.maximum(b[s], 1)
-            incoming = np.zeros(n_nodes, dtype=np.int64)
-            np.add.at(incoming, d, delivered)
-            units = base + incoming
-    else:
-        for _ in range(n_iter):
-            q, r, b = share_arrays(units)
-            sh_ref = ray.put((q, r, b))
-
-            def deliver(df: pd.DataFrame) -> pd.DataFrame:
-                qq, rr, bb = ray.get(sh_ref)
-                sv = df["s"].to_numpy()
-                wv = df["w"].to_numpy()
-                delivered = (qq[sv] * wv
-                             + (rr[sv] * wv) // np.maximum(bb[sv], 1))
-                acc = np.zeros(len(qq), dtype=np.int64)
-                np.add.at(acc, df["d"].to_numpy(), delivered)
-                touched = np.nonzero(acc)[0]
-                return pd.DataFrame({"n": touched.astype(np.int64),
-                                     "v": acc[touched]})
-
-            incoming = np.zeros(n_nodes, dtype=np.int64)
-            for batch in indexed.map_batches(
-                    deliver, batch_format="pandas").iter_batches(
-                    batch_format="numpy"):
-                np.add.at(incoming, batch["n"], batch["v"])
-            units = base + incoming
-
-    rank = round_half_up(units.astype(np.float64) / (n_nodes * UNITS), 9)
-    out = pa.table({"node": pa.array(list(names), pa.string()),
-                    "rank_units": pa.array(units, pa.int64()),
-                    "rank": pa.array(rank, pa.float64())})
-    return ray.data.from_arrow(out)
+    Scale shape: the broadcast-mode PageRank iteration (`pagerank_fixedpoint`
+    with the weight column carried through the edge passes), under the
+    |V| ≤ `broadcast_max_nodes` admission — an explicit error beyond, the
+    kg_scc discipline: a shuffle fixpoint would pay per-iteration join
+    latency."""
+    return _pagerank_broadcast(edges, src, dst, n_iter, broadcast_max_nodes,
+                               "pagerank_weighted", weight=weight)
 
 
 def seeded_type_propagation(edges: "ray.data.Dataset",
@@ -1780,24 +1463,14 @@ def seeded_type_propagation(edges: "ray.data.Dataset",
     deterministic spec matched bit-for-bit by a dict re-walk
     (oracle.py:expected_type_propagation).
 
-    Execution contract mirrors `label_propagation`: driver label array
-    over the sorted |V|-bounded vocabulary (admission error above the
-    cap); edge list local below LOCAL_MAX_EDGES else each round streams
-    compacted per-block (node, type, count) vote partials. `seeds` must
-    have columns (entity, etype); seed entities absent from the graph are
-    ignored."""
-    names, indexed = _index_edges(edges, src, dst)
+    Execution contract mirrors `label_propagation` and shares its vote
+    pass (untyped nodes carry label -1 and cast no vote): driver label
+    array over the sorted |V|-bounded vocabulary (admission error above
+    the cap). `seeds` must have columns (entity, etype); seed entities
+    absent from the graph are ignored."""
+    names, passes = _broadcast_edges(edges, src, dst, broadcast_max_nodes,
+                                     "seeded_type_propagation")
     n = len(names)
-    if n > broadcast_max_nodes:
-        raise ValueError(
-            f"seeded_type_propagation: |V|={n} exceeds the broadcast "
-            f"admission ({broadcast_max_nodes})")
-    if n == 0:
-        return ray.data.from_arrow(pa.table({
-            "node": pa.array([], pa.string()),
-            "etype": pa.array([], pa.string()),
-            "round_assigned": pa.array([], pa.int64())}))
-
     seed_rows = seeds.take_all()
     type_vocab = sorted({r["etype"] for r in seed_rows})
     t_code = {t: i for i, t in enumerate(type_vocab)}
@@ -1812,77 +1485,41 @@ def seeded_type_propagation(edges: "ray.data.Dataset",
             if lab[i] == -1 or c < lab[i]:
                 lab[i] = c
             rnd[i] = 0
-    nt = np.int64(max(len(type_vocab), 1))
-
-    local = indexed.count() <= LOCAL_MAX_EDGES
-    if local:
-        s_all, d_all = _collect_indexed(indexed)
-        s_all = s_all.astype(np.int64)
-        d_all = d_all.astype(np.int64)
-
-    def vote_partial(s: np.ndarray, d: np.ndarray, cur: np.ndarray):
-        ms = cur[s] >= 0  # typed source votes for its dst
-        md = cur[d] >= 0  # typed dst votes for its src
-        vn = np.concatenate([d[ms], s[md]])
-        vl = np.concatenate([cur[s][ms], cur[d][md]])
-        key = vn * nt + vl
-        uk, cnt = np.unique(key, return_counts=True)
-        return uk, cnt.astype(np.int64)
-
+    nt = max(len(type_vocab), 1)
     for h in range(1, n_iter + 1):
-        if local:
-            keys, cnts = vote_partial(s_all, d_all, lab)
-        else:
-            lab_ref = ray.put(lab)
-
-            def part(b: dict) -> dict:
-                cur = ray.get(lab_ref)
-                uk, c = vote_partial(b["s"].astype(np.int64),
-                                     b["d"].astype(np.int64), cur)
-                return {"k": uk, "c": c}
-
-            acc_k = np.zeros(0, dtype=np.int64)
-            acc_c = np.zeros(0, dtype=np.int64)
-            for b in indexed.map_batches(
-                    part, batch_format="numpy").iter_batches(
-                    batch_format="numpy"):
-                acc_k = np.concatenate([acc_k, b["k"]])
-                acc_c = np.concatenate([acc_c, b["c"]])
-                if len(acc_k) > 4_000_000:
-                    uk, inv = np.unique(acc_k, return_inverse=True)
-                    m = np.zeros(len(uk), dtype=np.int64)
-                    np.add.at(m, inv, acc_c)
-                    acc_k, acc_c = uk, m
-            keys, inv = np.unique(acc_k, return_inverse=True)
-            cnts = np.zeros(len(keys), dtype=np.int64)
-            np.add.at(cnts, inv, acc_c)
-
-        vn = keys // nt
-        vl = keys % nt
-        open_mask = lab[vn] == -1
-        vn, vl, cnts = vn[open_mask], vl[open_mask], cnts[open_mask]
+        keys, cnts = passes.votes(_label_votes, (lab, nt))
+        vn, vl = _modal_labels(keys, cnts, nt, open_nodes=lab == -1)
         if len(vn) == 0:
             break
-        order = np.lexsort((vl, -cnts, vn))
-        vn_s, vl_s = vn[order], vl[order]
-        head = np.ones(len(vn_s), dtype=bool)
-        head[1:] = vn_s[1:] != vn_s[:-1]
-        lab[vn_s[head]] = vl_s[head]
-        rnd[vn_s[head]] = h
+        lab[vn] = vl
+        rnd[vn] = h
 
     typed = np.nonzero(lab >= 0)[0]
-    name_list = list(names)
     return ray.data.from_arrow(pa.table({
-        "node": pa.array([name_list[i] for i in typed], pa.string()),
-        "etype": pa.array([type_vocab[lab[i]] for i in typed], pa.string()),
-        "round_assigned": pa.array([int(rnd[i]) for i in typed],
-                                   pa.int64())}))
+        "node": pa.array(names[typed].tolist(), pa.string()),
+        "etype": pa.array([type_vocab[c] for c in lab[typed]], pa.string()),
+        "round_assigned": pa.array(rnd[typed], pa.int64())}))
+
+
+def _local_undirected(edges: "ray.data.Dataset", src: str, dst: str,
+                      who: str):
+    """(names, s, d): the distinct undirected edge set as driver int arrays,
+    under the |E| admission of the two driver-side edge algorithms
+    (`truss_decomposition`, `betweenness_sampled`) — above
+    `LOCAL_MAX_EDGES` an explicit error, since neither has a shuffle
+    fallback (see their docstrings)."""
+    names, indexed = _index_edges(_dedup_undirected(edges, src, dst), "u", "v")
+    n_edges = indexed.count()
+    if n_edges > LOCAL_MAX_EDGES:
+        raise ValueError(
+            f"{who}: |E| = {n_edges} exceeds the local admission bound "
+            f"{LOCAL_MAX_EDGES}; no shuffle fallback by design")
+    cols = _collect_indexed(indexed)
+    return names, cols["s"], cols["d"]
 
 
 def truss_decomposition(edges: "ray.data.Dataset", src: str = "src",
-                        dst: str = "dst",
-                        local_max_edges: int | None = None
-                        ) -> "ray.data.Dataset":
+                        dst: str = "dst") -> "ray.data.Dataset":
     """(u, v, trussness) — truss number per DISTINCT undirected non-loop
     edge: the largest k such that the edge belongs to the k-truss (the
     maximal subgraph where every edge closes ≥ k−2 triangles inside it).
@@ -1911,24 +1548,8 @@ def truss_decomposition(edges: "ray.data.Dataset", src: str = "src",
     peel is O(Σ support) after the initial intersection pass."""
     from collections import deque
 
-    und = _dedup_undirected(edges, src, dst)
-    names, indexed = _index_edges(und, "u", "v")
-    cap = local_max_edges if local_max_edges is not None else LOCAL_MAX_EDGES
-    n_edges = indexed.count()
-    if n_edges > cap:
-        raise ValueError(
-            f"truss_decomposition: |E| = {n_edges} exceeds the local "
-            f"admission bound {cap}; no shuffle fallback by design "
-            "(per-round triangle recount)")
-    s, d = _collect_indexed(indexed)
-    n = len(names)
-    if n == 0:
-        return ray.data.from_arrow(pa.table({
-            "u": pa.array([], pa.string()),
-            "v": pa.array([], pa.string()),
-            "trussness": pa.array([], pa.int64())}))
-
-    adj: list[set] = [set() for _ in range(n)]
+    names, s, d = _local_undirected(edges, src, dst, "truss_decomposition")
+    adj: list[set] = [set() for _ in range(len(names))]
     for a, b in zip(s.tolist(), d.tolist()):
         adj[a].add(b)
         adj[b].add(a)
@@ -1985,25 +1606,14 @@ def weighted_min_distances(edges_w: "ray.data.Dataset",
     the join bucket) plus one grouped min per round; NO driver-side node
     state at any |V|. Seeds carry dist 0; the final answer is a grouped
     min over the union of all rounds."""
-    from ..aggregates import grouped_count, partial_final_agg
-    from ..joins import _arrow_types, hash_join
 
     nt = _arrow_types(edges_w)[src]
     i_t = pa.int64()
 
     adj = edges_w
     if undirected:
-        def sym(t: pa.Table) -> pa.Table:
-            t = strip_schema_metadata(t)
-            u, v, w = t.column(src), t.column(dst), t.column(w_col)
-            c = pa.chunked_array(list(u.chunks) + list(v.chunks), u.type)
-            n = pa.chunked_array(list(v.chunks) + list(u.chunks), u.type)
-            ww = pa.chunked_array(list(w.chunks) + list(w.chunks), w.type)
-            return pa.table({src: c, dst: n, w_col: ww})
-
-        adj = partial_final_agg(
-            edges_w.map_batches(sym, batch_format="pyarrow"),
-            [src, dst], [(w_col, w_col, "min")])
+        adj = partial_final_agg(_symmetrize(edges_w, src, dst, w_col),
+                                [src, dst], [(w_col, w_col, "min")])
     adj = adj.materialize()
 
     def as_frontier(ds):
@@ -2046,8 +1656,7 @@ def weighted_min_distances(edges_w: "ray.data.Dataset",
 
 def betweenness_sampled(edges: "ray.data.Dataset", src: str = "src",
                         dst: str = "dst", n_seeds: int = 3,
-                        max_rounds: int = 3, scale: int = 1_000_000,
-                        local_max_edges: int | None = None
+                        max_rounds: int = 3, scale: int = 1_000_000
                         ) -> "ray.data.Dataset":
     """(node, bc_scaled) — sampled betweenness centrality (Brandes
     accumulation from the `n_seeds` highest-(degree, name asc) hubs,
@@ -2063,21 +1672,8 @@ def betweenness_sampled(edges: "ray.data.Dataset", src: str = "src",
     Brandes needs 2·R join rounds per seed, and the sampled-seed form
     only makes sense on the vocabulary-bounded KG graph). Overflow: σ ≤
     max_deg^R — document/re-scale past deg ~2M at R=3."""
-    und = _dedup_undirected(edges, src, dst)
-    names, indexed = _index_edges(und, "u", "v")
-    cap = local_max_edges if local_max_edges is not None else LOCAL_MAX_EDGES
-    n_edges = indexed.count()
-    if n_edges > cap:
-        raise ValueError(
-            f"betweenness_sampled: |E| = {n_edges} exceeds the local "
-            f"admission bound {cap}; no shuffle fallback by design")
-    s, d = _collect_indexed(indexed)
+    names, s, d = _local_undirected(edges, src, dst, "betweenness_sampled")
     n = len(names)
-    if n == 0:
-        return ray.data.from_arrow(pa.table({
-            "node": pa.array([], pa.string()),
-            "bc_scaled": pa.array([], pa.int64())}))
-
     es = np.concatenate([s, d]).astype(np.int64)
     ed = np.concatenate([d, s]).astype(np.int64)
     deg = np.bincount(es, minlength=n)

@@ -300,8 +300,8 @@ def test_kcore_random_graph_modes_and_bruteforce():
 def test_graph_broadcast_distributed_rounds_match_local(monkeypatch):
     """Force the per-block-partials broadcast path (indexed edge count >
     LOCAL_MAX_EDGES) and pin it against the local-numpy fast path for CC,
-    PageRank, and k-core — the 100-TB edge-stream branch that small
-    fixtures never reach on their own."""
+    PageRank, k-core and personalized PageRank — the edge-stream branch
+    that small fixtures never reach on their own."""
     import numpy as np
 
     import dygiepp_ray.stages.graph as G
@@ -314,18 +314,26 @@ def test_graph_broadcast_distributed_rounds_match_local(monkeypatch):
                           "dst": [p[1] for p in pairs]})
     ds = lambda: ray.data.from_pandas(edges).repartition(3)  # noqa: E731
 
+    seeds = lambda: ray.data.from_pandas(  # noqa: E731
+        pd.DataFrame({"node": ["n00", "n03", "n07"]}))
+
     local_cc = G.connected_components(ds(), mode="broadcast").to_pandas()
     local_pr = G.pagerank_fixedpoint(ds(), mode="broadcast").to_pandas()
     local_kc = G.kcore_decomposition(ds(), mode="broadcast").to_pandas()
+    local_ppr = G.personalized_pagerank(ds(), seeds(),
+                                        mode="broadcast").to_pandas()
 
     monkeypatch.setattr(G, "LOCAL_MAX_EDGES", 0)
     dist_cc = G.connected_components(ds(), mode="broadcast").to_pandas()
     dist_pr = G.pagerank_fixedpoint(ds(), mode="broadcast").to_pandas()
     dist_kc = G.kcore_decomposition(ds(), mode="broadcast").to_pandas()
+    dist_ppr = G.personalized_pagerank(ds(), seeds(),
+                                       mode="broadcast").to_pandas()
 
     for loc, dist, keys in ((local_cc, dist_cc, ["node"]),
                             (local_pr, dist_pr, ["node"]),
-                            (local_kc, dist_kc, ["node"])):
+                            (local_kc, dist_kc, ["node"]),
+                            (local_ppr, dist_ppr, ["node"])):
         loc = loc.sort_values(keys).reset_index(drop=True)
         dist = dist.sort_values(keys).reset_index(drop=True)
         pd.testing.assert_frame_equal(loc, dist)
@@ -588,6 +596,26 @@ def test_personalized_pagerank_modes_and_oracle():
     pd.testing.assert_frame_equal(b, want)
     # sanity: mass concentrates on/near seeds, zero on unreachable-from-seed
     assert b.set_index("node").loc["v00", "rank_units"] > 0
+
+
+@pytest.mark.parametrize("mode", ["broadcast", "shuffle"])
+def test_pagerank_is_personalized_pagerank_with_every_node_seeded(mode):
+    """Uniform PageRank is the seeded spec with the seed set = every node:
+    base UNITS*15//100 on every node, UNITS initial units everywhere and
+    rank divided by N*UNITS — bit-identical in both execution modes."""
+    from dygiepp_ray.stages.graph import personalized_pagerank
+
+    pairs = [("a", "b"), ("a", "c"), ("c", "a"), ("c", "b"), ("d", "a"),
+             ("e", "e"), ("b", "e")]
+    nodes = sorted({n for p in pairs for n in p})
+    sd = ray.data.from_pandas(pd.DataFrame({"node": nodes}))
+    want = pagerank_fixedpoint(_edge_ds(pairs), n_iter=3, n_buckets=4,
+                               mode=mode).to_pandas().sort_values(
+        "node").reset_index(drop=True)
+    got = personalized_pagerank(_edge_ds(pairs), sd, n_iter=3, n_buckets=4,
+                                mode=mode).to_pandas().sort_values(
+        "node").reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, want)
 
 
 def test_personalized_pagerank_seed_locality():
@@ -1038,8 +1066,8 @@ def test_label_propagation_streamed_rounds_match_local(monkeypatch):
     local = label_propagation(_edge_ds(pairs)).to_pandas().sort_values(
         "node").reset_index(drop=True)
     monkeypatch.setattr(g, "LOCAL_MAX_EDGES", 0)
-    streamed = label_propagation(_edge_ds(pairs)).to_pandas().sort_values(
-        "node").reset_index(drop=True)
+    streamed = label_propagation(_edge_ds(pairs).repartition(4)).to_pandas(
+        ).sort_values("node").reset_index(drop=True)
     pd.testing.assert_frame_equal(streamed, local)
 
 
@@ -1247,8 +1275,9 @@ def test_pagerank_weighted_unit_weights_match_unweighted(monkeypatch):
     pd.testing.assert_frame_equal(got, want)
     # streamed edge path (LOCAL_MAX_EDGES=0) is bit-identical
     monkeypatch.setattr(G, "LOCAL_MAX_EDGES", 0)
-    got2 = G.pagerank_weighted(ray.data.from_pandas(edges)).to_pandas(
-        ).sort_values("node").reset_index(drop=True)
+    got2 = G.pagerank_weighted(ray.data.from_pandas(edges).repartition(3)
+                               ).to_pandas().sort_values("node").reset_index(
+        drop=True)
     pd.testing.assert_frame_equal(got2, want)
 
 
@@ -1328,8 +1357,8 @@ def test_seeded_type_propagation_golden_and_streamed(monkeypatch):
     # streamed vote path is bit-identical
     monkeypatch.setattr(G, "LOCAL_MAX_EDGES", 0)
     got2 = G.seeded_type_propagation(
-        ray.data.from_pandas(edges), ray.data.from_pandas(seeds),
-        n_iter=2).to_pandas()
+        ray.data.from_pandas(edges).repartition(3),
+        ray.data.from_pandas(seeds), n_iter=2).to_pandas()
     assert {(r.node, r.etype, int(r.round_assigned))
             for r in got2.itertuples()} == want
     # oracle twin agrees
@@ -1497,16 +1526,15 @@ def test_truss_random_graph_matches_bruteforce():
     assert {(r.u, r.v): int(r.trussness) for r in got.itertuples()} == want
 
 
-def test_truss_admission_guard():
-    import pytest as _pytest
-
-    from dygiepp_ray.stages.graph import truss_decomposition
+def test_truss_admission_guard(monkeypatch):
+    import dygiepp_ray.stages.graph as G
 
     tri = pd.DataFrame({"subj_norm": ["a", "b", "c"],
                         "obj_norm": ["b", "c", "a"]})
-    with _pytest.raises(ValueError, match="admission"):
-        truss_decomposition(ray.data.from_pandas(tri), src="subj_norm",
-                            dst="obj_norm", local_max_edges=1)
+    monkeypatch.setattr(G, "LOCAL_MAX_EDGES", 1)
+    with pytest.raises(ValueError, match="admission"):
+        G.truss_decomposition(ray.data.from_pandas(tri), src="subj_norm",
+                              dst="obj_norm")
 
 
 # ----------------------------------------------------- weighted min dist
@@ -1598,3 +1626,39 @@ def test_betweenness_sampled_matches_dict_oracle_random():
         ray.data.from_arrow(tri_t).repartition(3),
         src="subj_norm", dst="obj_norm").to_pandas()
     assert dict(zip(got["node"], got["bc_scaled"].astype(int))) == want_map
+
+
+def test_betweenness_admission_guard(monkeypatch):
+    import dygiepp_ray.stages.graph as G
+
+    tri = pd.DataFrame({"subj_norm": ["a", "b", "c"],
+                        "obj_norm": ["b", "c", "a"]})
+    monkeypatch.setattr(G, "LOCAL_MAX_EDGES", 2)
+    with pytest.raises(ValueError, match="admission"):
+        G.betweenness_sampled(ray.data.from_pandas(tri), src="subj_norm",
+                              dst="obj_norm")
+
+
+def test_broadcast_edge_passes_go_through_one_helper():
+    """Broadcast mode reads `LOCAL_MAX_EDGES` and `ray.put`s pass state in
+    one edge-pass helper only; besides it, `_index_edges` puts its vocabulary
+    map and truss/betweenness read the bound for their |E| admission. A
+    new broadcast algorithm writes a pass kernel, not a second local-or-
+    streamed branch."""
+    import ast
+    import inspect
+
+    import dygiepp_ray.stages.graph as G
+
+    readers: dict[str, set] = {"LOCAL_MAX_EDGES": set(), "ray.put": set()}
+    for top in ast.parse(inspect.getsource(G)).body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id == "LOCAL_MAX_EDGES":
+                readers["LOCAL_MAX_EDGES"].add(top.name)
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func) == "ray.put"):
+                readers["ray.put"].add(top.name)
+    assert readers == {"LOCAL_MAX_EDGES": {"_EdgePasses", "_local_undirected"},
+                       "ray.put": {"_EdgePasses", "_index_edges"}}

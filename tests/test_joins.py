@@ -324,10 +324,11 @@ def test_bucket_groups_empty_input():
 
 
 def test_one_sided_bucket_shuffles_use_bucket_groups():
-    """Keyed coarse-bucket shuffles stamp through `joins.bucket_groups`: no
-    engine module hand-rolls a per-row `zlib.crc32` bucket loop, and
-    `hash_pandas_object` is called only by the helper and by DSIR's feature
-    hashing (`oracle.py` is independent of the engine by design)."""
+    """Keyed coarse-bucket shuffles stamp through `joins._key_buckets`, the
+    stamp of `bucket_groups` and of the two-sided joins: no engine module
+    hand-rolls a per-row `zlib.crc32` bucket loop, and `hash_pandas_object`
+    is called only by that helper and by DSIR's feature hashing
+    (`oracle.py` is independent of the engine by design)."""
     import pathlib
 
     root = pathlib.Path(__file__).resolve().parent.parent
@@ -345,7 +346,7 @@ def test_one_sided_bucket_shuffles_use_bucket_groups():
     hashers = {hit.rsplit(":", 1)[0] for hit in lines_with("hash_pandas_object")}
     assert hashers <= {"dygiepp_ray/joins.py", "dygiepp_ray/stages/dsir.py"}
     joins_src = (pkg / "joins.py").read_text()
-    helper = joins_src[joins_src.index("def bucket_groups("):]
+    helper = joins_src[joins_src.index("def _key_buckets("):]
     helper = helper[:helper.index("\ndef ")]
     call = "pd.util.hash_pandas_object("
     assert joins_src.count(call) == helper.count(call) == 1
