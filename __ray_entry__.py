@@ -140,11 +140,14 @@ def _code_salt() -> str:
         import dygiepp_ray.stages.invindex
         import dygiepp_ray.stages.kernel
         import dygiepp_ray.stages.similarity
+        import dygiepp_ray.state.manifest
 
         h = hashlib.blake2b(digest_size=6)
+        # state.manifest holds the store writer: a layout change rebuilds
         for mod in (dygiepp_ray.stages.kernel, dygiepp_ray.pipelines.kg,
                     dygiepp_ray.stages.dedup, dygiepp_ray.stages.similarity,
-                    dygiepp_ray.stages.invindex, dygiepp_ray.corpus):
+                    dygiepp_ray.stages.invindex, dygiepp_ray.state.manifest,
+                    dygiepp_ray.corpus):
             with open(mod.__file__, "rb") as fh:
                 h.update(fh.read())
         _CODE_SALT_CACHE.append(h.hexdigest())

@@ -1551,7 +1551,6 @@ def expected_transe_eval(triples: pa.Table, dim: int = 16, k_neg: int = 32,
     and ranks recomputed per edge in plain python dict/loop arithmetic."""
     import numpy as np
 
-    from .stages.dedup import _splitmix64
     from .stages.sketch import hash64_values
 
     SEP = "\x1f"
@@ -1571,9 +1570,8 @@ def expected_transe_eval(triples: pa.Table, dim: int = 16, k_neg: int = 32,
             h = int(hash64_values(np.array([name], dtype=object))[0])
             vec = []
             for d in range(dim):
-                salt_d = _splitmix64(
-                    np.uint64((seed * 1_000_003 + salt) * dim + d))
-                hd = int(_splitmix64(np.uint64(h) ^ salt_d))
+                salt_d = _splitmix64_scalar((seed * 1_000_003 + salt) * dim + d)
+                hd = _splitmix64_scalar(h ^ salt_d)
                 vec.append((hd % 2048) - 1024)
             emb_cache[kk] = vec
         return emb_cache[kk]
@@ -1582,11 +1580,11 @@ def expected_transe_eval(triples: pa.Table, dim: int = 16, k_neg: int = 32,
     for s, p, o in edges:
         es, ep, eo = emb(s, 0), emb(p, 1), emb(o, 0)
         true_sc = -sum(abs(es[d] + ep[d] - eo[d]) for d in range(dim))
-        h = np.uint64(int(hash64_values(
-            np.array([s + SEP + p + SEP + o], dtype=object))[0]))
+        h = int(hash64_values(
+            np.array([s + SEP + p + SEP + o], dtype=object))[0])
         rank = 1
         for j in range(1, k_neg + 1):
-            hj = int(_splitmix64(h ^ np.uint64(seed + j)))
+            hj = _splitmix64_scalar(h ^ (seed + j))
             c = V[hj % int(nv)]
             if c == o:
                 continue

@@ -36,6 +36,7 @@ from ..state.manifest import (
     read_json,
     write_json_atomic,
     write_manifest,
+    write_partitioned,
 )
 from ..state.process_local import ProcessLocal
 
@@ -225,7 +226,9 @@ class ExtractToTriples(ProcessLocal):
     `ProcessLocal` a worker's tasks share one kernel and sentence memo per
     build.
 
-    `do_prep` is accepted for old callers and must be True."""
+    `do_prep` must be True. It stays in the signature because the
+    benchmark's traced run (`perfbench/layers.py`) constructs the stage
+    with `do_prep=True`."""
 
     def __init__(self, label_map=None, use_coref_substitution=True,
                  do_prep: bool = True, **kernel_kwargs):
@@ -382,7 +385,7 @@ def build_kg(input_dir: str, out_dir: str, n_buckets: int = 16, resume: bool = T
 
         corpus = corpus.map_batches(drop_done, batch_format="pyarrow")
     triples = extract_triples(corpus, concurrency, batch_size, **kernel_kwargs)
-    triples.write_parquet(out_dir, partition_cols=["bucket"])
+    write_partitioned(triples, out_dir, "bucket")
     written = []
     for b in pending:
         write_manifest(out_dir, b, fp)
@@ -458,7 +461,7 @@ def build_kg_incremental(input_dir: str, out_dir: str,
 
     triples = extract_triples(corpus, concurrency, batch_size).map_batches(
         ord_to_stem, batch_format="pyarrow")
-    triples.write_parquet(out_dir, partition_cols=["shard"])
+    write_partitioned(triples, out_dir, "shard")
     written = []
     for stem, _f, fp in pending:
         write_json_atomic(_os.path.join(mdir, f"{stem}.json"),
@@ -551,8 +554,8 @@ def materialize_by_subject(triples: "ray.data.Dataset", out_dir: str,
         df["sbucket"] = _bucket_series(df["subj_norm"], n_buckets)
         return df
 
-    triples.map_batches(stamp, batch_format="pandas").write_parquet(
-        out_dir, partition_cols=["sbucket"])
+    write_partitioned(triples.map_batches(stamp, batch_format="pandas"),
+                      out_dir, "sbucket")
     return out_dir
 
 
@@ -2156,7 +2159,10 @@ def _hash_embeddings(names, dim: int, seed: int, salt: int):
     h = hash64_values(np.asarray(names, dtype=object))
     out = np.empty((len(h), dim), dtype=np.int64)
     for d in range(dim):
-        salt_d = _splitmix64(np.uint64((seed * 1_000_003 + salt) * dim + d))
+        # a one-element array: numpy scalar uint64 arithmetic warns on the
+        # overflow that the mixer relies on, arrays wrap silently
+        salt_d = _splitmix64(np.array([(seed * 1_000_003 + salt) * dim + d],
+                                      dtype=np.uint64))[0]
         hd = _splitmix64(h ^ salt_d)
         out[:, d] = (hd % np.uint64(2048)).astype(np.int64) - 1024
     return out

@@ -28,6 +28,8 @@ import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Count, Min
 
+from ..state.manifest import write_partitioned
+
 _MERSENNE = (1 << 61) - 1
 _HASH32 = (1 << 32) - 1
 
@@ -655,9 +657,9 @@ def build_dedup_store(docs: "ray.data.Dataset", out_dir: str,
     against the store by reading ONLY the buckets their own hashes fall in,
     never rescanning (or reshuffling) the historical corpus.  Mirrors the
     persisted LSH / inverted-index stores."""
-    docs.map_batches(_doc_sha_rows(n_buckets, id_col, text_col, "bucket"),
-                     batch_format="pyarrow").write_parquet(
-        out_dir, partition_cols=["bucket"])
+    write_partitioned(
+        docs.map_batches(_doc_sha_rows(n_buckets, id_col, text_col, "bucket"),
+                         batch_format="pyarrow"), out_dir, "bucket")
     return out_dir
 
 
@@ -1100,9 +1102,10 @@ def build_neardup_store(docs: "ray.data.Dataset", out_dir: str,
     band rows (512 B at 64 perms — the one-shuffle verify tradeoff
     documented in minhash_lsh_pairs), so matching needs no second join
     against a signature table."""
-    _minhash_sigs(docs, n_perm, shingle_k, id_col, text_col).map_batches(
-        lambda df: _band_rows(df, n_bands, n_buckets, id_col, "bucket"),
-        batch_format="pandas").write_parquet(out_dir, partition_cols=["bucket"])
+    write_partitioned(
+        _minhash_sigs(docs, n_perm, shingle_k, id_col, text_col).map_batches(
+            lambda df: _band_rows(df, n_bands, n_buckets, id_col, "bucket"),
+            batch_format="pandas"), out_dir, "bucket")
     return out_dir
 
 

@@ -22,6 +22,8 @@ import pandas as pd
 import ray
 import ray.data
 
+from ..state.manifest import write_partitioned
+
 
 def token_bucket(token: str, n_buckets: int) -> int:
     """Stable across processes/runs (NOT Python hash())."""
@@ -54,8 +56,8 @@ def build_inverted_index(docs: "ray.data.Dataset", out_dir: str,
         tf["bucket"] = _bucket_series(tf["token"], n_buckets)
         return tf
 
-    docs.map_batches(rows, batch_format="pandas").write_parquet(
-        out_dir, partition_cols=["bucket"])
+    write_partitioned(docs.map_batches(rows, batch_format="pandas"),
+                      out_dir, "bucket")
     return out_dir
 
 

@@ -20,6 +20,7 @@ import ray
 import ray.data
 
 from ..functions.strings import round_half_up
+from ..state.manifest import write_partitioned
 
 
 def _batch_matrix(batch: pd.DataFrame, vec_col: str) -> np.ndarray:
@@ -112,9 +113,8 @@ def build_lsh_index(embeddings: "ray.data.Dataset", out_dir: str,
         out["sig"] = _lsh_sig(m, planes).astype("int64")
         return out
 
-    embeddings.select_columns([id_col, vec_col]).map_batches(
-        sig_stamp, batch_format="pandas"
-    ).write_parquet(out_dir, partition_cols=["sig"])
+    write_partitioned(embeddings.select_columns([id_col, vec_col]).map_batches(
+        sig_stamp, batch_format="pandas"), out_dir, "sig")
     return out_dir
 
 

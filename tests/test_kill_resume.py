@@ -11,13 +11,14 @@ import time
 import pyarrow.parquet as pq
 import pytest
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS = "/tmp/kill_resume_corpus"
 OUT_KILLED = "/tmp/kill_resume_out"
 OUT_CLEAN = "/tmp/kill_resume_clean"
 
 BUILD_SNIPPET = """
 import sys, ray
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, {repo!r})
 ray.init(address="local", num_cpus=4, include_dashboard=False, logging_level="ERROR")
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
@@ -31,7 +32,7 @@ ray.shutdown()
 def _run_build(out_dir: str, kill_after: float | None = None) -> bool:
     """Run build_kg in a subprocess; optionally SIGKILL it. Returns True if
     the process completed."""
-    code = BUILD_SNIPPET.format(corpus=CORPUS, out=out_dir)
+    code = BUILD_SNIPPET.format(repo=REPO, corpus=CORPUS, out=out_dir)
     proc = subprocess.Popen([sys.executable, "-c", code],
                             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                             text=True)
@@ -153,7 +154,6 @@ def test_killed_extraction_worker_is_retried(tmp_path):
     a clean run's with no bucket holding an extra part file."""
     from dygiepp_ray.corpus import write_corpus
 
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     corpus = str(tmp_path / "corpus")
     write_corpus(corpus, n_files=3000, seed=13, n_shards=8)
     outs = {}
@@ -162,7 +162,7 @@ def test_killed_extraction_worker_is_retried(tmp_path):
         out = str(tmp_path / name)
         proc = subprocess.Popen(
             [sys.executable, "-c",
-             KILL_WORKER_SNIPPET.format(repo=repo, corpus=corpus, out=out)],
+             KILL_WORKER_SNIPPET.format(repo=REPO, corpus=corpus, out=out)],
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
         try:
             while name == "killed" and not killed and proc.poll() is None:
