@@ -3,8 +3,11 @@
 read_parquet(corpus) → bucket stamp → [resume filter] → `extract_triples`, a
 task map: doc-prep (P1-P4, content sha256) → relation decode (M1-M8) →
 flatten triples (S5/P12-P14), fused in one `__call__` → write partitioned
-Parquet + per-bucket lineage manifests. Count tables (A1) stream through
-partial+final grouped counts.
+Parquet + per-bucket lineage manifests. Every partitioned store here
+(`build_kg`, `build_kg_incremental`, `materialize_by_subject`) is written by
+`state/manifest.py:write_partitioned`: one zstd file holding one row group
+per partition per write unit of `ROWS_PER_WRITE` rows. Count tables (A1)
+stream through partial+final grouped counts.
 
 The documents product (`documents_dataset` → `extract`, a task map:
 documents with `predicted_*` columns) runs the same prep, `_prep_docs`, and

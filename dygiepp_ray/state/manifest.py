@@ -8,8 +8,8 @@ The reference's only resume unit is the per-shard output file
 - triples are written as `out_dir/bucket=<b>/` partitioned Parquet by
   `write_partitioned`, the one store writer of the engine: each write task
   takes at least `ROWS_PER_WRITE` rows (or the rest of the stream) and
-  writes one zstd file with one row group per partition, so a build below
-  that size leaves one file per bucket;
+  writes one zstd file per bucket, so a build of fewer rows leaves one file
+  of one row group per bucket;
 - after each bucket's files land, a manifest
   `out_dir/_manifests/bucket-<b>.json` records the input fingerprint, row
   count and a sha256 roll-up (XOR of per-row content_sha256) — the lineage
@@ -38,17 +38,20 @@ from ..functions.strings import stable_hash64
 ENGINE_VERSION = 2
 
 # Rows bundled into one write task, and the row-group floor inside its
-# files. The bundle is held in the write task's memory: at ~340 B per
-# triple row (content_sha256 and sentence dominate) 1 << 18 rows is about
-# 90 MB, small enough for several concurrent write tasks on one node.
+# files. A write task holds its whole bundle in memory: a triple row is
+# ~240 B in Arrow (content_sha256 and sentence dominate), so 1 << 18 rows
+# is about 65 MB; the widest store row, a near-dup band row carrying its
+# 512 B signature, makes about 140 MB.
 ROWS_PER_WRITE = 1 << 18
 
 
 def write_partitioned(ds: "ray.data.Dataset", out_dir: str,
                       partition_col: str) -> None:
     """Write `ds` as hive-partitioned Parquet `out_dir/<partition_col>=<v>/`,
-    zstd-compressed, with one file of one row group per partition per
-    write task of `ROWS_PER_WRITE` rows."""
+    zstd-compressed. Each write task takes at least `ROWS_PER_WRITE` rows
+    (or the rest of the stream) and writes one file per partition, whose
+    row groups hold at least `ROWS_PER_WRITE` rows except the last: a
+    partition smaller than that is one row group."""
     ds.write_parquet(out_dir, partition_cols=[partition_col],
                      min_rows_per_file=ROWS_PER_WRITE, compression="zstd")
 

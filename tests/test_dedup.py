@@ -188,7 +188,11 @@ def test_substring_dup_pairs_plants():
 
 
 def test_dedup_store_roundtrip(tmp_path):
+    import glob
+    import os
+
     import pandas as pd
+    import pyarrow.parquet as pq
 
     import ray.data
     from dygiepp_ray.stages.dedup import (
@@ -211,6 +215,12 @@ def test_dedup_store_roundtrip(tmp_path):
     store = str(tmp_path / "store")
     build_dedup_store(ray.data.from_pandas(old).repartition(2), store,
                       n_buckets=8)
+    # one zstd file of one row group per bucket, across both input blocks
+    for d in glob.glob(os.path.join(store, "bucket=*")):
+        (name,) = os.listdir(d)
+        meta = pq.read_metadata(os.path.join(d, name))
+        assert meta.num_row_groups == 1
+        assert meta.row_group(0).column(0).compression == "ZSTD"
     got = (
         dedup_against_store(ray.data.from_pandas(new).repartition(2), store,
                             n_buckets=8)
@@ -241,9 +251,12 @@ def test_dedup_store_no_hits(tmp_path):
     assert len(got) == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_batched_signatures_match_per_doc():
     """The batched reduceat path must be bit-identical to the per-doc
-    `signature` spec (the oracle recomputes signatures per doc)."""
+    `signature` spec (the oracle recomputes signatures per doc). Neither
+    hands splitmix64 a numpy scalar, which warns on the uint64 overflow the
+    mixer relies on (arrays wrap silently)."""
     import numpy as np
 
     from dygiepp_ray.stages.dedup import MinHasher

@@ -24,6 +24,7 @@ from dygiepp_ray.corpus import (
 from dygiepp_ray.functions.strings import canonicalize, sentence_split, sha256_hex, tokenize
 from dygiepp_ray.pipelines.evaluate import compute_f1
 from dygiepp_ray.pipelines.kg import build_kg, kg_triples, pair_counts, span_counts
+from dygiepp_ray.schema import TRIPLE_SCHEMA
 from dygiepp_ray.stages.prep import extract_text
 
 CORPUS_DIR = "/tmp/kg_e2e_corpus"
@@ -72,8 +73,7 @@ def oracle_triples(corpus_dir: str) -> set:
     return expected
 
 
-def test_triples_match_oracle(corpus_dir):
-    got_df = kg_triples(corpus_dir, concurrency=2).to_pandas()
+def assert_matches_oracle(got_df, corpus_dir):
     strip = re.compile(r"_SPLIT_\d+$")
     got = {
         (strip.sub("", d), sn, p, on)
@@ -85,6 +85,11 @@ def test_triples_match_oracle(corpus_dir):
     precision, recall, f1 = compute_f1(len(got), len(want), matched)
     assert precision >= 0.95, f"precision {precision} ({len(got - want)} spurious)"
     assert recall >= 0.95, f"recall {recall} ({len(want - got)} missed)"
+
+
+def test_triples_match_oracle(corpus_dir):
+    assert_matches_oracle(kg_triples(corpus_dir, concurrency=2).to_pandas(),
+                          corpus_dir)
 
 
 def test_sha256_invariant(corpus_dir):
@@ -153,6 +158,48 @@ def test_build_resume_and_manifests(corpus_dir):
         for f in glob.glob(os.path.join(OUT_DIR, "bucket=*", "*.parquet"))
     )
     assert total_before == total_after  # stale partials were cleaned, no dupes
+
+
+def _bucket_files(out_dir: str) -> dict[int, list[str]]:
+    return {int(d.rsplit("=", 1)[1]): sorted(os.listdir(d))
+            for d in glob.glob(os.path.join(out_dir, "bucket=*"))}
+
+
+def test_build_writes_one_zstd_row_group_per_bucket(corpus_dir, tmp_path):
+    """Small extraction batches still land as one file per bucket holding one
+    zstd row group; a resumed bucket is rewritten as one file, and the
+    stored triples are exactly the triples `kg_triples` extracts."""
+    import pandas as pd
+    import pyarrow.dataset as pads
+
+    out = str(tmp_path / "kg")
+    build_kg(corpus_dir, out, n_buckets=4, concurrency=2, batch_size=32)
+    before = _bucket_files(out)
+    assert sorted(before) == [0, 1, 2, 3]
+    for b, names in before.items():
+        assert len(names) == 1, (b, names)
+        meta = pq.read_metadata(os.path.join(out, f"bucket={b}", names[0]))
+        assert meta.num_row_groups == 1
+        group = meta.row_group(0)
+        assert {group.column(c).compression
+                for c in range(group.num_columns)} == {"ZSTD"}
+
+    os.remove(os.path.join(out, "_manifests", "bucket-2.json"))
+    res = build_kg(corpus_dir, out, n_buckets=4, concurrency=2, batch_size=32)
+    assert res["written_buckets"] == [2]
+    after = _bucket_files(out)
+    assert len(after[2]) == 1 and after[2] != before[2]
+    assert {b: f for b, f in after.items() if b != 2} == {
+        b: f for b, f in before.items() if b != 2}
+
+    cols = TRIPLE_SCHEMA.names
+    stored = (pads.dataset(out, format="parquet", partitioning="hive")
+              .to_table(columns=cols).to_pandas())
+    want = kg_triples(corpus_dir, concurrency=2).to_pandas()[cols]
+    assert_matches_oracle(stored, corpus_dir)
+    pd.testing.assert_frame_equal(
+        stored.sort_values(cols).reset_index(drop=True),
+        want.sort_values(cols).reset_index(drop=True))
 
 
 @pytest.fixture
@@ -350,6 +397,26 @@ def test_negative_samples_contract_and_invariance():
     assert len(got) > 0 and per_pos.max() <= 3 * 2  # ≤ k per distinct edge
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hash_embeddings_match_scalar_splitmix():
+    """TransE hash embeddings equal the pure-python splitmix64 walk and raise
+    no numpy uint64 overflow warning (numpy scalars warn, arrays wrap)."""
+    import numpy as np
+
+    from dygiepp_ray.oracle import _splitmix64_scalar
+    from dygiepp_ray.pipelines.kg import _hash_embeddings
+    from dygiepp_ray.stages.sketch import hash64_values
+
+    names = ["hash join", "merge sort", ""]
+    got = _hash_embeddings(np.array(names, dtype=object), 8, 23, 1)
+    for row, name in zip(got.tolist(), names):
+        h = int(hash64_values(np.array([name], dtype=object))[0])
+        assert row == [
+            _splitmix64_scalar(h ^ _splitmix64_scalar((23 * 1_000_003 + 1) * 8 + d))
+            % 2048 - 1024 for d in range(8)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_transe_eval_matches_oracle_and_invariance():
     import pandas as pd
     import pyarrow as pa

@@ -108,3 +108,17 @@ def test_incremental_rebuilds_shard_of_older_engine(tmp_path):
     r = build_kg_incremental(corpus, out, concurrency=1, batch_size=32)
     assert r["written_shards"] == ["part-00000"]
     assert r["skipped_shards"] == ["part-00001"]
+
+
+def test_partitioned_stores_write_through_one_helper():
+    """Every partitioned Parquet store of the engine is written by
+    `state/manifest.py:write_partitioned`, so its layout (zstd, one row
+    group per partition per write unit) is decided in one place."""
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    hits = [f"{path.relative_to(root)}:{i}"
+            for path in sorted((root / "dygiepp_ray").rglob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if "partition_cols=" in line]
+    assert [h.rsplit(":", 1)[0] for h in hits] == ["dygiepp_ray/state/manifest.py"]
