@@ -117,8 +117,7 @@ def test_partitioned_stores_write_through_one_helper():
     import pathlib
 
     root = pathlib.Path(__file__).resolve().parent.parent
-    hits = [f"{path.relative_to(root)}:{i}"
-            for path in sorted((root / "dygiepp_ray").rglob("*.py"))
-            for i, line in enumerate(path.read_text().splitlines(), 1)
-            if "partition_cols=" in line]
-    assert [h.rsplit(":", 1)[0] for h in hits] == ["dygiepp_ray/state/manifest.py"]
+    writers = [str(path.relative_to(root))
+               for path in sorted((root / "dygiepp_ray").rglob("*.py"))
+               if "partition_cols=" in path.read_text()]
+    assert writers == ["dygiepp_ray/state/manifest.py"]

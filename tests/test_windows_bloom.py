@@ -107,11 +107,8 @@ def test_generic_window_fn():
 
 def test_events_retention_shape():
     """Retention query: distinct (user, day) self-join — synthetic check
-    through the registered query at sf0.001."""
-    import os
-    import sys
-
-    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    through the registered query at sf0.001 (`conftest.py` puts this
+    checkout's root first on `sys.path`)."""
     import __ray_entry__ as E
 
     got = E.queries()["events_retention"]("/root/testdata/sf0.001").to_pandas()
