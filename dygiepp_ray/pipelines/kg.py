@@ -3,7 +3,18 @@
 read_parquet(corpus) → bucket stamp → [resume filter] → `extract_triples`, a
 task map: doc-prep (P1-P4, content sha256) → relation decode (M1-M8) →
 flatten triples (S5/P12-P14), fused in one `__call__` → write partitioned
-Parquet + per-bucket lineage manifests. Every partitioned store here
+Parquet + per-bucket lineage manifests.
+
+`build_kg` and `kg_triples` run one plan of work units: `read_corpus`
+asks Ray Data for `ceil(rows / batch_size)` read blocks (`rows` from the
+Parquet footers), and the stamp, the resume filter and `ExtractToTriples`
+are task maps with one shared `concurrency` and no batch size of their
+own, which Ray Data fuses into one operator running one task per block.
+Ray groups whole shards into the read tasks or, when blocks outnumber
+shards, splits each shard's rows evenly into `ceil(blocks / shards)`
+blocks, so the units are as balanced as the shards: `perfbench`'s 2,000
+rows in 8 equal shards at `batch_size=1024` run as 2 tasks of 1,000 rows.
+Every partitioned store here
 (`build_kg`, `build_kg_incremental`, `materialize_by_subject`) is written by
 `state/manifest.py:write_partitioned`: one zstd file holding one row group
 per partition per write unit of `ROWS_PER_WRITE` rows. Count tables (A1)
@@ -35,7 +46,9 @@ from ..state.manifest import (
     assign_buckets,
     completed_buckets,
     file_fingerprint,
+    input_files,
     input_fingerprint,
+    input_rows,
     read_json,
     write_json_atomic,
     write_manifest,
@@ -45,13 +58,25 @@ from ..state.process_local import ProcessLocal
 
 # Bound on the concurrent tasks of the `extract_triples` task map.
 DEFAULT_KERNEL_CONCURRENCY = 8
+# Rows per batch of `extract` and of `extract_triples` over any Dataset.
 DEFAULT_KERNEL_BATCH_SIZE = 64
+# Corpus rows per work unit of `read_corpus`, so per extraction task of
+# `build_kg` and `kg_triples`. 64-row units (about 20 ms of extraction
+# each on the perfbench corpora) are no bigger than a task's own cost:
+# the 20k-file build ran them as 508 tasks and took 1.6-1.9x the wall of
+# the plan before work units; 1,024-row units ran as 20 tasks and beat
+# that plan (BASELINE.md).
+DEFAULT_UNIT_ROWS = 1024
 
 
-def read_corpus(input_dir: str) -> "ray.data.Dataset":
-    # all five corpus columns are needed downstream (content for prep+sha,
-    # repo/path/commit for keys+buckets, lang for extraction dispatch).
-    return ray.data.read_parquet(input_dir)
+def read_corpus(input_dir: str,
+                batch_size: int = DEFAULT_UNIT_ROWS) -> "ray.data.Dataset":
+    """Corpus dir → a Dataset read as `ceil(rows / batch_size)` blocks,
+    the build's work units; `rows` comes from the Parquet footers. All five
+    corpus columns are read: content for prep and sha, repo/path/commit for
+    keys and buckets, lang for extraction."""
+    units = max(1, -(-input_rows(input_dir) // batch_size))
+    return ray.data.read_parquet(input_dir, override_num_blocks=units)
 
 
 def documents_dataset(corpus: "ray.data.Dataset") -> "ray.data.Dataset":
@@ -256,21 +281,30 @@ class ExtractToTriples(ProcessLocal):
 
 def extract_triples(corpus: "ray.data.Dataset",
                     concurrency: int = DEFAULT_KERNEL_CONCURRENCY,
-                    batch_size: int = DEFAULT_KERNEL_BATCH_SIZE,
+                    batch_size: int | None = DEFAULT_KERNEL_BATCH_SIZE,
                     **kernel_kwargs) -> "ray.data.Dataset":
     """Corpus rows → triple rows: `ExtractToTriples(**kernel_kwargs)` as
-    a task map of at most `concurrency` concurrent tasks."""
-    return corpus.map_batches(ExtractToTriples(**kernel_kwargs),
-                              batch_format="pyarrow", batch_size=batch_size,
-                              concurrency=concurrency, num_cpus=1)
+    a task map of at most `concurrency` concurrent tasks, over batches of
+    `batch_size` rows (None: one task per input block)."""
+    return _unit_map(corpus, ExtractToTriples(**kernel_kwargs), concurrency,
+                     batch_size)
+
+
+def _unit_map(ds: "ray.data.Dataset", fn, concurrency: int,
+              batch_size: int | None = None) -> "ray.data.Dataset":
+    """`fn` as a task map over `ds`. Maps given the same `concurrency` and
+    no `batch_size` fuse into one task per input block."""
+    return ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size,
+                          concurrency=concurrency, num_cpus=1)
 
 
 def kg_triples(input_dir: str, concurrency: int = DEFAULT_KERNEL_CONCURRENCY,
-               batch_size: int = DEFAULT_KERNEL_BATCH_SIZE,
+               batch_size: int = DEFAULT_UNIT_ROWS,
                **kernel_kwargs) -> "ray.data.Dataset":
-    """Corpus dir → streaming triples Dataset (no sink)."""
-    return extract_triples(read_corpus(input_dir), concurrency, batch_size,
-                           **kernel_kwargs)
+    """Corpus dir → streaming triples Dataset (no sink): one extraction
+    task per `read_corpus` work unit of about `batch_size` rows."""
+    return extract_triples(read_corpus(input_dir, batch_size), concurrency,
+                           batch_size=None, **kernel_kwargs)
 
 
 def span_counts(triples: "ray.data.Dataset", salt_buckets: int = 1) -> "ray.data.Dataset":
@@ -352,7 +386,7 @@ def graph_nodes(triples: "ray.data.Dataset", salt_buckets: int = 1) -> "ray.data
 
 def build_kg(input_dir: str, out_dir: str, n_buckets: int = 16, resume: bool = True,
              concurrency: int = DEFAULT_KERNEL_CONCURRENCY,
-             batch_size: int = DEFAULT_KERNEL_BATCH_SIZE,
+             batch_size: int = DEFAULT_UNIT_ROWS,
              **kernel_kwargs) -> dict:
     """Full materializing run: triples → `out_dir/bucket=<b>/*.parquet` +
     per-bucket lineage manifests; valid buckets are skipped on re-run.
@@ -377,17 +411,18 @@ def build_kg(input_dir: str, out_dir: str, n_buckets: int = 16, resume: bool = T
         if os.path.exists(stale_manifest):
             os.remove(stale_manifest)
 
-    corpus = read_corpus(input_dir).map_batches(
-        assign_buckets(n_buckets), batch_format="pyarrow"
-    )
+    # stamp, resume skip and extraction fuse into one task per work unit
+    corpus = _unit_map(read_corpus(input_dir, batch_size),
+                       assign_buckets(n_buckets), concurrency)
     if done:
         skip = pa.array(sorted(done), pa.int32())
 
         def drop_done(batch: pa.Table) -> pa.Table:
             return batch.filter(pc.invert(pc.is_in(batch.column("bucket"), value_set=skip)))
 
-        corpus = corpus.map_batches(drop_done, batch_format="pyarrow")
-    triples = extract_triples(corpus, concurrency, batch_size, **kernel_kwargs)
+        corpus = _unit_map(corpus, drop_done, concurrency)
+    triples = extract_triples(corpus, concurrency, batch_size=None,
+                              **kernel_kwargs)
     write_partitioned(triples, out_dir, "bucket")
     written = []
     for b in pending:
@@ -412,11 +447,10 @@ def build_kg_incremental(input_dir: str, out_dir: str,
     read, and the `ENGINE_VERSION`. A re-run after appending shards processes ONLY the new/changed
     shards; untouched shards are never re-read. Count/graph tables
     re-derive from the (much smaller) triple table downstream."""
-    import glob as _glob
     import os as _os
     import shutil as _shutil
 
-    shards = sorted(_glob.glob(_os.path.join(input_dir, "*.parquet")))
+    shards = input_files(input_dir)
     mdir = _os.path.join(out_dir, "_shard_manifests")
     _os.makedirs(mdir, exist_ok=True)
 

@@ -33,6 +33,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..functions.arrow import pylist
 from ..functions.strings import stable_hash64
 
 ENGINE_VERSION = 2
@@ -63,18 +64,18 @@ def bucket_of(repo: str, path: str, commit: str, n_buckets: int) -> int:
 def assign_buckets(n_buckets: int):
     """map_batches fn: stamp the deterministic partition bucket on corpus rows."""
 
-    def fn(batch: pa.Table) -> pa.Table:
+    def stamp_buckets(batch: pa.Table) -> pa.Table:
         buckets = [
             bucket_of(r, p, c, n_buckets)
             for r, p, c in zip(
-                batch.column("repo").to_pylist(),
-                batch.column("path").to_pylist(),
-                batch.column("commit").to_pylist(),
+                pylist(batch.column("repo")),
+                pylist(batch.column("path")),
+                pylist(batch.column("commit")),
             )
         ]
         return batch.append_column("bucket", pa.array(buckets, pa.int32()))
 
-    return fn
+    return stamp_buckets
 
 
 def file_fingerprint(path: str) -> str:
@@ -97,11 +98,22 @@ def file_fingerprint(path: str) -> str:
     return format(stable_hash64(";".join(parts)), "016x")
 
 
+def input_files(input_dir: str) -> list[str]:
+    """The input's Parquet files, in name order."""
+    return sorted(glob.glob(os.path.join(input_dir, "*.parquet")))
+
+
 def input_fingerprint(input_dir: str) -> str:
     """Fingerprint of the input: `file_fingerprint` of each Parquet file,
     in name order."""
-    files = sorted(glob.glob(os.path.join(input_dir, "*.parquet")))
-    return format(stable_hash64(";".join(map(file_fingerprint, files))), "016x")
+    return format(stable_hash64(";".join(map(file_fingerprint,
+                                             input_files(input_dir)))), "016x")
+
+
+def input_rows(input_dir: str) -> int:
+    """Rows of the input, from the Parquet footers `file_fingerprint`
+    reads."""
+    return sum(pq.read_metadata(f).num_rows for f in input_files(input_dir))
 
 
 def manifest_path(out_dir: str, bucket: int) -> str:

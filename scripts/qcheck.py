@@ -30,9 +30,9 @@ def main() -> int:
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=8, include_dashboard=False,
                  logging_level="ERROR")
-    from ray.data import DataContext
+    from dygiepp_ray.context import configure_for_scale
 
-    DataContext.get_current().enable_progress_bars = False
+    configure_for_scale()
 
     import __ray_entry__ as entrymod
 

@@ -6,7 +6,8 @@ Usage:
 
 Imports `__ray_entry__` from CHECKOUT (default: this script's checkout),
 working in that directory so that Ray's workers import it too, starts one
-local Ray session with N CPUs, and runs every QUERY R times in turn,
+local Ray session with N CPUs and that checkout's `configure_for_scale()`
+DataContext, and runs every QUERY R times in turn,
 consuming each result with `materialize()`. Before each run it collects
 garbage and waits until every session CPU is free, so no run inherits
 another's held CPUs. Peak RSS is sampled every 50 ms over the driver and
@@ -87,7 +88,9 @@ def main() -> int:
 
     ray.init(address="local", num_cpus=args.cpus, include_dashboard=False,
              logging_level="ERROR")
-    ray.data.DataContext.get_current().enable_progress_bars = False
+    from dygiepp_ray.context import configure_for_scale
+
+    configure_for_scale()
     import __ray_entry__ as entry
 
     qs = entry.queries()

@@ -18,8 +18,8 @@ def ray_session():
             ignore_reinit_error=True,
             logging_level="ERROR",
         )
-    from ray.data import DataContext
+    from dygiepp_ray.context import configure_for_scale
 
-    DataContext.get_current().enable_progress_bars = False
+    configure_for_scale()
     yield
     ray.shutdown()

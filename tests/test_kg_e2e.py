@@ -26,6 +26,7 @@ from dygiepp_ray.pipelines.evaluate import compute_f1
 from dygiepp_ray.pipelines.kg import build_kg, kg_triples, pair_counts, span_counts
 from dygiepp_ray.schema import TRIPLE_SCHEMA
 from dygiepp_ray.stages.prep import extract_text
+from dygiepp_ray.state.manifest import manifest_path, read_json
 
 CORPUS_DIR = "/tmp/kg_e2e_corpus"
 OUT_DIR = "/tmp/kg_e2e_out"
@@ -202,6 +203,68 @@ def test_build_writes_one_zstd_row_group_per_bucket(corpus_dir, tmp_path):
         want.sort_values(cols).reset_index(drop=True))
 
 
+def _write_operators(ds) -> dict:
+    """Operator name → stats summary of the Dataset a build wrote."""
+    ops, stack = {}, [ds._write_ds._get_stats_summary()]
+    while stack:
+        summary = stack.pop()
+        ops.update((o.operator_name, o) for o in summary.operators_stats)
+        stack.extend(summary.parents)
+    return ops
+
+
+def test_build_runs_one_fused_task_per_work_unit(tmp_path, monkeypatch):
+    """An 8-shard corpus of 80 rows at `batch_size=40` reads as 2 work
+    units, and the bucket stamp (and on resume the skip) runs fused with
+    `ExtractToTriples` as one task per unit. The stored triples equal
+    `kg_triples`, pass the oracle gate, and a resume rewrites equal
+    manifests."""
+    import pandas as pd
+    import pyarrow.dataset as pads
+    import ray
+
+    corpus = str(tmp_path / "corpus")
+    write_corpus(corpus, n_files=80, seed=42, n_shards=8)
+    written = []
+    write_parquet = ray.data.Dataset.write_parquet
+
+    def capture(ds, *args, **kwargs):
+        written.append(ds)
+        return write_parquet(ds, *args, **kwargs)
+
+    monkeypatch.setattr(ray.data.Dataset, "write_parquet", capture)
+    out = str(tmp_path / "kg")
+    build_kg(corpus, out, n_buckets=4, concurrency=2, batch_size=40)
+    ops = _write_operators(written[-1])
+    fused = ops["MapBatches(stamp_buckets)->MapBatches(ExtractToTriples)"]
+    assert fused.task_rows["count"] == 2
+    units = ops["ReadParquet"].output_num_rows
+    assert units["min"] == units["max"] == 40
+
+    def manifests():
+        ms = [read_json(manifest_path(out, b)) for b in range(4)]
+        return [(m["row_count"], m["sha256_xor"], m["input_fingerprint"])
+                for m in ms]
+
+    clean = manifests()
+    for b in (1, 3):
+        os.remove(manifest_path(out, b))
+    assert build_kg(corpus, out, n_buckets=4, concurrency=2,
+                    batch_size=40)["written_buckets"] == [1, 3]
+    assert manifests() == clean
+    assert ("MapBatches(stamp_buckets)->MapBatches(drop_done)"
+            "->MapBatches(ExtractToTriples)") in _write_operators(written[-1])
+
+    cols = TRIPLE_SCHEMA.names
+    stored = (pads.dataset(out, format="parquet", partitioning="hive")
+              .to_table(columns=cols).to_pandas())
+    want = kg_triples(corpus, concurrency=2, batch_size=40).to_pandas()[cols]
+    assert_matches_oracle(stored, corpus)
+    pd.testing.assert_frame_equal(
+        stored.sort_values(cols).reset_index(drop=True),
+        want.sort_values(cols).reset_index(drop=True))
+
+
 @pytest.fixture
 def frees_cpus_on_return():
     """Runs a query with the cyclic GC off and asserts every session CPU is
@@ -237,7 +300,7 @@ def frees_cpus_on_return():
 def test_build_kg_extracts_on_tasks(corpus_dir, tmp_path, monkeypatch,
                                     frees_cpus_on_return):
     """build_kg runs the fused stage on Ray Data's task pool: the written
-    dataset's `MapBatches(ExtractToTriples)` operator held no actors, and
+    dataset's operator that runs `ExtractToTriples` held no actors, and
     every session CPU is free again once build_kg returns."""
     import ray
 
@@ -258,7 +321,7 @@ def test_build_kg_extracts_on_tasks(corpus_dir, tmp_path, monkeypatch,
         for op in summary.operators_stats:
             metrics[op.operator_name] = summary.extra_metrics
         stack.extend(summary.parents)
-    stage = metrics["MapBatches(ExtractToTriples)"]
+    stage = next(m for name, m in metrics.items() if "ExtractToTriples" in name)
     assert stage["num_alive_actors"] == 0
     assert "pending_actors" not in stage  # an actor-pool-only metric
 

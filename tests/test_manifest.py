@@ -1,6 +1,6 @@
-"""The manifest's sha256 roll-up against its integer definition, and resume
-after an input shard is rewritten at the same byte size or its manifest
-comes from another engine version."""
+"""The manifest's sha256 roll-up against its integer definition, the bucket
+stamp against `bucket_of`, and resume after an input shard is rewritten at
+the same byte size or its manifest comes from another engine version."""
 
 import glob
 import hashlib
@@ -15,7 +15,13 @@ import pytest
 
 from dygiepp_ray.corpus import write_corpus
 from dygiepp_ray.pipelines.kg import build_kg, build_kg_incremental
-from dygiepp_ray.state.manifest import ENGINE_VERSION, file_fingerprint, sha_rollup
+from dygiepp_ray.state.manifest import (
+    ENGINE_VERSION,
+    assign_buckets,
+    bucket_of,
+    file_fingerprint,
+    sha_rollup,
+)
 
 
 def _int_xor(shas: list[str]) -> str:
@@ -64,6 +70,24 @@ def _triples(out_dir: str, part: str):
     df = pa.concat_tables([pq.read_table(f) for f in files]).to_pandas()
     cols = [c for c in df.columns if c not in ("bucket", "shard")]
     return df[cols].sort_values(cols).reset_index(drop=True)
+
+
+def test_assign_buckets_stamps_bucket_of_each_row():
+    """The stamp gives every row `bucket_of(repo, path, commit)`, across
+    chunk boundaries and for a non-ASCII path, and the ids stay the ones
+    existing manifests were written under."""
+    rows = [("octo/widgets", "src/main.py", "0123456789abcdef"),
+            ("octo/widgets", "docs/Ünïcödé/读我.md", "fedcba9876543210"),
+            ("o", "", "c"),
+            ("repo-x", "a/b/c.rs", "deadbeef")]
+    cols = {name: pa.chunked_array([[r[i] for r in rows[:1]],
+                                    [r[i] for r in rows[1:]]], pa.string())
+            for i, name in enumerate(("repo", "path", "commit"))}
+    for n, want in ((16, [5, 6, 13, 12]),
+                    (1_000_003, [11468, 169095, 857356, 238609])):
+        got = assign_buckets(n)(pa.table(cols)).column("bucket")
+        assert got.type == pa.int32()
+        assert got.to_pylist() == [bucket_of(*r, n) for r in rows] == want
 
 
 def test_build_kg_resume_rebuilds_after_same_size_rewrite(tmp_path):
