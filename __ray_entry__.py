@@ -5217,8 +5217,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # bucket via its lineage manifest. Output = one row per bucket with
         # the manifest's (row_count, sha256_xor) lineage plus the resume
         # counters — value-hash-checked against an independent per-bucket
-        # recompute (VERDICT r2 #9: no longer rows-only).
+        # recompute (VERDICT r2 #9: no longer rows-only). Each call builds
+        # into its own fresh directory, so every call times one clean build
+        # plus one full-skip resume.
         import json
+        import shutil
+        import tempfile
 
         from dygiepp_ray import oracle as _o
         from dygiepp_ray.state.manifest import manifest_path
@@ -5228,22 +5232,26 @@ def queries() -> dict[str, Callable[[str], Any]]:
         _write_oracle(sf_dir, "kg_build_resume",
                       lambda: _o.expected_kg_build_manifest(
                           corpus_dir, n_buckets=16, entity_lexicon=lex))
-        out_dir = f"/tmp/dygiepp_ray_kg/{_sf_tag(sf_dir)}"
-        kgp.build_kg(corpus_dir, out_dir, n_buckets=16,
-                     concurrency=_kernel_conc(), entity_lexicon=lex)
-        second = kgp.build_kg(corpus_dir, out_dir, n_buckets=16,
-                              concurrency=_kernel_conc(), entity_lexicon=lex)
-        rows = []
-        for b in range(16):
-            with open(manifest_path(out_dir, b)) as fh:
-                m = json.load(fh)
-            rows.append({
-                "bucket": int(m["bucket"]),
-                "row_count": int(m["row_count"]),
-                "sha256_xor": m["sha256_xor"],
-                "second_written": len(second["written_buckets"]),
-                "second_skipped": len(second["skipped_buckets"]),
-            })
+        out_dir = tempfile.mkdtemp(prefix="dygiepp_ray_kg_")
+        try:
+            kgp.build_kg(corpus_dir, out_dir, n_buckets=16,
+                         concurrency=_kernel_conc(), entity_lexicon=lex)
+            second = kgp.build_kg(corpus_dir, out_dir, n_buckets=16,
+                                  concurrency=_kernel_conc(),
+                                  entity_lexicon=lex)
+            rows = []
+            for b in range(16):
+                with open(manifest_path(out_dir, b)) as fh:
+                    m = json.load(fh)
+                rows.append({
+                    "bucket": int(m["bucket"]),
+                    "row_count": int(m["row_count"]),
+                    "sha256_xor": m["sha256_xor"],
+                    "second_written": len(second["written_buckets"]),
+                    "second_skipped": len(second["skipped_buckets"]),
+                })
+        finally:
+            shutil.rmtree(out_dir, ignore_errors=True)
         return pd.DataFrame(rows)
 
     q["kg_build_resume"] = q_kg_build_resume

@@ -215,13 +215,20 @@ def partial_final_agg(ds: "ray.data.Dataset", keys: list[str],
 
 def distinct_first(ds: "ray.data.Dataset", keys: list[str]) -> "ray.data.Dataset":
     """A8/D3 exact dedup: keep the first row per key group, deterministically
-    (rows sorted by all columns within the group before taking the head)."""
+    (the least row of the group, sorted by all its columns). One
+    `bucket_groups` shuffle: each bucket is sorted by the keys, then the
+    other columns, once, and keeps its first row per key — one pandas sort
+    per bucket, not one Ray group and one sort per key. Rows come out in
+    no particular order."""
     import pandas as pd
 
-    def first(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(list(g.columns)).head(1)
+    from .joins import bucket_groups
 
-    return ds.groupby(keys).map_groups(first, batch_format="pandas")
+    def first(df: pd.DataFrame) -> pd.DataFrame:
+        order = [*keys, *(c for c in df.columns if c not in keys)]
+        return df.sort_values(order).drop_duplicates(keys)
+
+    return bucket_groups(ds, keys, 64, first)
 
 
 def top_k(ds: "ray.data.Dataset", col: str, k: int, descending: bool = True) -> "ray.data.Dataset":

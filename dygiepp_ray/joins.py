@@ -1,5 +1,5 @@
-"""Join operators (SURVEY.md §2.4) and the two keyed-bucket shuffle
-primitives.
+"""Join operators (SURVEY.md §2.4), the two keyed-bucket shuffle
+primitives and the LSH candidate-pair primitive built on them.
 
 A keyed shuffle over an unbounded key space never makes one Ray group per
 key: it stamps a COARSE `_bucket` and runs ONE sort-based
@@ -29,9 +29,18 @@ place a key alike; null keys share one bucket).
   `_key_buckets` of the join key (`interval_join` of (key, band),
   `skew_join` of its cold rows only).
 
-Buckets derived from LSH band or signature values, and the persisted
-`bucket` layouts of the build and the dedup stores, are not keyed-bucket
-shuffles and stamp their own.
+- `candidate_pairs` — near-duplicate / alias pairs from LSH band rows
+  (key, id, payload): one `bucket_groups` shuffle on the band key, the
+  singleton prefilter, a chunk-bounded pairwise `score` with a `keep`
+  predicate inside each collision group (`chunk_pairs`, one
+  `PAIR_CHUNK_BYTES` bound), `(min, max)` id order or a cross-side
+  orientation, and the pair dedup. The MinHash, simhash, embedding,
+  fuzzy-decontamination, alias and edit-1 stages keep only their row
+  function and their score; `score_chunks` / `chunk_pairs` alone serve
+  the persisted near-dup store match and the kNN graph's per-cell top-k.
+
+The persisted `bucket` layouts of the build and the dedup stores are not
+keyed-bucket shuffles and stamp their own.
 
 The joins:
 
@@ -202,6 +211,119 @@ def bucket_groups(ds: "ray.data.Dataset", keys: str | list[str],
 
     return (ds.map_batches(stamp, batch_format="pyarrow")
             .groupby("_bucket").map_groups(per_bucket, batch_format="pandas"))
+
+
+# a chunk of `a` rows is compared with all of `b` at a time, so that chunk
+# rows × len(b) × b's row width stays under this many bytes: a heavy
+# collision group (boilerplate documents sharing a band) becomes bounded
+# fragments instead of one O(n²) tensor in one task (FP-Hadoop's split of
+# heavy groups); a typical 2-5 row group is one chunk
+PAIR_CHUNK_BYTES = 32 << 20
+
+
+def score_chunks(a: np.ndarray, b: np.ndarray, score):
+    """Yield `(lo, score(a[lo:hi], b))` over row chunks of `a`, each chunk
+    sized by `PAIR_CHUNK_BYTES` against `b`'s row width in bytes."""
+    chunk = max(1, PAIR_CHUNK_BYTES // max(1, len(b) * b[:1].nbytes))
+    for lo in range(0, len(a), chunk):
+        yield lo, score(a[lo:lo + chunk], b)
+
+
+def chunk_pairs(a: np.ndarray, b: np.ndarray | None, score, keep):
+    """`(i, j, s)`: the row pairs of `a` × `b` whose score matrix entry `s`
+    passes `keep(scores) -> bool matrix`, one `score_chunks` chunk at a
+    time. `b=None` compares `a` with itself and keeps only `i < j`."""
+    self_pairs = b is None
+    b = a if self_pairs else b
+    out_i, out_j, out_s = [], [], []
+    for lo, s in score_chunks(a, b, score):
+        ok = keep(s)
+        if self_pairs:
+            ok = ok & (np.arange(len(b))[None, :]
+                       > np.arange(lo, lo + len(s))[:, None])
+        ri, cj = np.nonzero(ok)
+        out_i.append(lo + ri)
+        out_j.append(cj)
+        out_s.append(s[ri, cj])
+    if not out_s:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
+    return np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_s)
+
+
+def _payload_block(values: np.ndarray) -> np.ndarray:
+    """A payload column as one numpy block: equal-length list cells stack
+    into a 2-D array; scalars and ragged cells stay as they are."""
+    if (values.dtype == object and len(values)
+            and isinstance(values[0], (list, np.ndarray))
+            and len({len(v) for v in values}) == 1):
+        return np.stack(values)
+    return values
+
+
+def candidate_pairs(rows: "ray.data.Dataset", n_buckets: int, score, keep,
+                    score_col: str | None, score_dtype: str = "float64",
+                    side: str | None = None) -> "ray.data.Dataset":
+    """(id_a, id_b[, score_col]) candidate pairs of LSH band rows, each pair
+    once.
+
+    `rows` holds one row per (band key, item): columns `key`, `id`,
+    `payload` (without it, the ids are the payload), and with `side` also
+    that column. ONE `bucket_groups` shuffle on `key`; inside a bucket,
+    singleton keys are dropped before any per-group work, a repeated
+    (key[, side], id) row counts once, and each key's rows are compared
+    with `chunk_pairs` on their payload block (`_payload_block`):
+    `score(block_a, block_b)` returns the vectorized score matrix and
+    `keep(scores)` the bool matrix of pairs to emit.
+
+    - Without `side`, a key's rows pair among themselves: equal ids never
+      pair, and each pair is ordered `(min, max)`.
+    - With `side`, rows whose side value is 0 pair with the others only,
+      as `(side-0 id, other id)`.
+
+    A pair found under several keys is emitted once: the in-bucket dedup,
+    then a global `bucket_groups` dedup on the pair. The score column is
+    cast to `score_dtype`, float scores rounded to 6 decimals after `keep`
+    saw them unrounded; `score_col=None` emits no score. Ids keep the
+    `id` column's dtype (object ids as pandas `string`), so an empty
+    bucket still emits typed columns."""
+
+    def verify(df: pd.DataFrame) -> pd.DataFrame:
+        id_dtype = "string" if df["id"].dtype == object else df["id"].dtype
+        df = df[df["key"].duplicated(keep=False)].drop_duplicates(
+            ["key", "id"] if side is None else ["key", side, "id"])
+        ids = df["id"].to_numpy()
+        pay = _payload_block(
+            df["payload" if "payload" in df else "id"].to_numpy())
+        is_a = None if side is None else df[side].to_numpy() == 0
+        out_a, out_b, out_s = [ids[:0]], [ids[:0]], []
+        for pos in df.groupby("key", sort=False).indices.values():
+            if is_a is None:
+                i, j, s = chunk_pairs(pay[pos], None, score, keep)
+                ia, ib = ids[pos[i]], ids[pos[j]]
+                ok = ia != ib
+                ia, ib, s = (np.minimum(ia[ok], ib[ok]),
+                             np.maximum(ia[ok], ib[ok]), s[ok])
+            else:
+                pos_a, pos_b = pos[is_a[pos]], pos[~is_a[pos]]
+                if not len(pos_a) or not len(pos_b):
+                    continue
+                i, j, s = chunk_pairs(pay[pos_a], pay[pos_b], score, keep)
+                ia, ib = ids[pos_a[i]], ids[pos_b[j]]
+            out_a.append(ia)
+            out_b.append(ib)
+            out_s.append(s)
+        out = {"id_a": pd.Series(np.concatenate(out_a), dtype=id_dtype),
+               "id_b": pd.Series(np.concatenate(out_b), dtype=id_dtype)}
+        if score_col is not None:
+            s = np.concatenate(out_s) if out_s else np.zeros(0, score_dtype)
+            if s.dtype.kind == "f":
+                s = np.round(s, 6)
+            out[score_col] = pd.Series(s, dtype=score_dtype)
+        return pd.DataFrame(out).drop_duplicates(["id_a", "id_b"])
+
+    pairs = bucket_groups(rows, "key", n_buckets, verify)
+    return bucket_groups(pairs, ["id_a", "id_b"], n_buckets,
+                         lambda df: df.drop_duplicates(["id_a", "id_b"]))
 
 
 def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",

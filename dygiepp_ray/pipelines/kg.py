@@ -8,8 +8,9 @@ Parquet + per-bucket lineage manifests.
 `build_kg` and `kg_triples` run one plan of work units: `read_corpus`
 asks Ray Data for `ceil(rows / batch_size)` read blocks (`rows` from the
 Parquet footers), and the stamp, the resume filter and `ExtractToTriples`
-are task maps with one shared `concurrency` and no batch size of their
-own, which Ray Data fuses into one operator running one task per block.
+are task maps with one shared `concurrency` (capped at the unit count)
+and no batch size of their own, which Ray Data fuses into one operator
+running one task per block.
 Ray groups whole shards into the read tasks or, when blocks outnumber
 shards, splits each shard's rows evenly into `ceil(blocks / shards)`
 blocks, so the units are as balanced as the shards: `perfbench`'s 2,000
@@ -69,14 +70,19 @@ DEFAULT_KERNEL_BATCH_SIZE = 64
 DEFAULT_UNIT_ROWS = 1024
 
 
+def _work_units(input_dir: str, batch_size: int) -> int:
+    """`ceil(rows / batch_size)`, the work units `read_corpus` plans; `rows`
+    comes from the Parquet footers."""
+    return max(1, -(-input_rows(input_dir) // batch_size))
+
+
 def read_corpus(input_dir: str,
                 batch_size: int = DEFAULT_UNIT_ROWS) -> "ray.data.Dataset":
-    """Corpus dir → a Dataset read as `ceil(rows / batch_size)` blocks,
-    the build's work units; `rows` comes from the Parquet footers. All five
-    corpus columns are read: content for prep and sha, repo/path/commit for
-    keys and buckets, lang for extraction."""
-    units = max(1, -(-input_rows(input_dir) // batch_size))
-    return ray.data.read_parquet(input_dir, override_num_blocks=units)
+    """Corpus dir → a Dataset read as `_work_units` blocks, the build's
+    work units. All five corpus columns are read: content for prep and
+    sha, repo/path/commit for keys and buckets, lang for extraction."""
+    return ray.data.read_parquet(
+        input_dir, override_num_blocks=_work_units(input_dir, batch_size))
 
 
 def documents_dataset(corpus: "ray.data.Dataset") -> "ray.data.Dataset":
@@ -302,8 +308,10 @@ def kg_triples(input_dir: str, concurrency: int = DEFAULT_KERNEL_CONCURRENCY,
                batch_size: int = DEFAULT_UNIT_ROWS,
                **kernel_kwargs) -> "ray.data.Dataset":
     """Corpus dir → streaming triples Dataset (no sink): one extraction
-    task per `read_corpus` work unit of about `batch_size` rows."""
-    return extract_triples(read_corpus(input_dir, batch_size), concurrency,
+    task per `read_corpus` work unit of about `batch_size` rows, and no
+    more concurrent tasks than units."""
+    return extract_triples(read_corpus(input_dir, batch_size),
+                           min(concurrency, _work_units(input_dir, batch_size)),
                            batch_size=None, **kernel_kwargs)
 
 
@@ -411,7 +419,10 @@ def build_kg(input_dir: str, out_dir: str, n_buckets: int = 16, resume: bool = T
         if os.path.exists(stale_manifest):
             os.remove(stale_manifest)
 
-    # stamp, resume skip and extraction fuse into one task per work unit
+    # stamp, resume skip and extraction fuse into one task per work unit;
+    # no more concurrent tasks than units (Ray Data warns about a map
+    # whose concurrency exceeds its inputs), one value for all three maps
+    concurrency = min(concurrency, _work_units(input_dir, batch_size))
     corpus = _unit_map(read_corpus(input_dir, batch_size),
                        assign_buckets(n_buckets), concurrency)
     if done:

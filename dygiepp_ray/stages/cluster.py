@@ -35,6 +35,7 @@ import ray
 import ray.data
 
 from ..functions.strings import round_half_up
+from ..joins import score_chunks
 
 _SCALE = 1_000_000  # integer-scaling grid for exact distributed sums
 
@@ -451,8 +452,9 @@ def knn_graph(embeddings: "ray.data.Dataset", centroids: np.ndarray,
 
     Scale shape: one vectorized assignment pass stamps the cell id
     (centroids broadcast once via ray.put), ONE shuffle groups each cell
-    into a single task, and the in-cell exact compare is a chunked
-    row-block × cellᵀ matmul (the `embedding_near_dups` memory bound);
+    into a single task, and the in-cell exact compare is a row-block ×
+    cellᵀ matmul chunked by `joins.score_chunks` (the bound of every LSH
+    verify);
     size the centroid count ~sqrt(n) so cells stay task-sized."""
     cref = ray.put(np.asarray(centroids, dtype=np.float64))
 
@@ -481,11 +483,9 @@ def knn_graph(embeddings: "ray.data.Dataset", centroids: np.ndarray,
                                  "nb_id": pd.Series(dtype="int64"),
                                  "cosine": pd.Series(dtype="float64")})
         out_src, out_nb, out_cos = [], [], []
-        chunk = max(1, (32 << 20) // max(1, n * 8))
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            cos = round_half_up(m[lo:hi] @ m.T, 6)
-            for r in range(hi - lo):
+        for lo, cos in score_chunks(
+                m, m, lambda a, b: round_half_up(a @ b.T, 6)):
+            for r in range(len(cos)):
                 row = cos[r].copy()
                 row[lo + r] = np.inf  # exclude self by POSITION
                 order = np.lexsort((ids, -row))

@@ -425,64 +425,25 @@ def fuzzy_decontaminate(train: "ray.data.Dataset",
     leakage the exact n-gram `decontaminate` misses.
 
     Unlike exact decontamination (eval n-grams broadcast to a member-check
-    task map), the fuzzy variant needs candidate PAIRS, so it reuses the
-    `minhash_lsh_pairs` machinery with both sides banded into ONE coarse
-    shuffle; in-bucket verification compares only CROSS (train × eval)
-    rows, chunk-bounded like every other pair verify. Neither side is ever
-    collected to the driver — the eval side may be large (a full held-out
-    split), and even a small one costs only its share of the one shuffle."""
-    import numpy as np
+    task map), the fuzzy variant needs candidate PAIRS: both sides' band
+    rows go through ONE `joins.candidate_pairs` shuffle, with the side as
+    its side column, so only CROSS (train × eval) rows are compared.
+    Neither side is ever collected to the driver — the eval side may be
+    large (a full held-out split), and even a small one costs only its
+    share of the one shuffle."""
+    from ..joins import candidate_pairs
+    from .dedup import _est_jaccard, _lsh_rows, _minhash_sigs
 
-    from .dedup import _dedup_pairs, _minhash_sigs, minhash_bands_with_sig
-
-    def sigs_of(ds, side: str):
-        s = _minhash_sigs(ds, n_perm, shingle_k, id_col, text_col)
-        return s.map_batches(
-            lambda df, sd=side: minhash_bands_with_sig(
-                df, n_bands, id_col, n_buckets).assign(_sd=sd),
+    def band_rows(ds, side: int):
+        return _minhash_sigs(ds, n_perm, shingle_k, id_col, text_col).map_batches(
+            lambda df: _lsh_rows(df, n_bands, id_col).assign(side=side),
             batch_format="pandas")
 
-    banded = sigs_of(train, "t").union(sigs_of(eval_docs, "e"))
-
-    def verify_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        id_dtype = df[id_col].dtype
-        df = df[df["band_key"].duplicated(keep=False)]
-        out_a, out_b, out_e = [], [], []
-        for _key, group in df.groupby("band_key", sort=False):
-            tm = group["_sd"].to_numpy() == "t"
-            if not tm.any() or tm.all():
-                continue
-            t_ids = group[id_col].to_numpy()[tm]
-            e_ids = group[id_col].to_numpy()[~tm]
-            sig_t = np.asarray(
-                [np.asarray(s) for s in group["minhash"][tm]])
-            sig_e = np.asarray(
-                [np.asarray(s) for s in group["minhash"][~tm]])
-            ne, p = sig_e.shape
-            chunk = max(1, (32 << 20) // max(1, ne * p))
-            for lo in range(0, len(t_ids), chunk):
-                hi = min(lo + chunk, len(t_ids))
-                est = (sig_t[lo:hi, None, :] == sig_e[None, :, :]).mean(
-                    axis=2)
-                ri, cj = np.nonzero(est >= est_threshold)
-                if ri.size:
-                    out_a.append(t_ids[lo + ri])
-                    out_b.append(e_ids[cj])
-                    out_e.append(est[ri, cj])
-        if not out_a:
-            return pd.DataFrame({
-                "id_a": pd.Series(dtype=id_dtype),
-                "id_b": pd.Series(dtype=id_dtype),
-                "est_jaccard": pd.Series(dtype="float64")})
-        return pd.DataFrame({
-            "id_a": np.concatenate(out_a),
-            "id_b": np.concatenate(out_b),
-            "est_jaccard": np.round(np.concatenate(out_e), 6)})
-
-    pairs = banded.groupby("_bucket").map_groups(verify_bucket,
-                                                 batch_format="pandas")
-    deduped = _dedup_pairs(pairs, n_buckets)
-    return deduped.map_batches(
+    pairs = candidate_pairs(
+        band_rows(train, 0).union(band_rows(eval_docs, 1)), n_buckets,
+        _est_jaccard, lambda est: est >= est_threshold, "est_jaccard",
+        side="side")
+    return pairs.map_batches(
         lambda df: df.rename(columns={"id_a": "train_id",
                                       "id_b": "eval_id"}),
         batch_format="pandas")

@@ -6,12 +6,13 @@ Every variant follows the same scale shape: a cheap per-batch signature stage
 across the corpus.
 
 - exact_duplicates:  sha-hash partition + per-group first (keeps min doc_id)
-- minhash_lsh:       shingle → minhash (vectorized numpy) → band buckets →
-                     groupby(band_key) → candidate pairs verified by exact
-                     Jaccard within each bucket
+- minhash_lsh:       shingle → minhash (vectorized numpy) → band rows →
+                     `joins.candidate_pairs` (candidate pairs verified by
+                     their signature estimate within each band group)
 - simhash:           64-bit simhash signature per doc; near-dups = same
                      signature after masking k rotated bit-blocks (Charikar /
-                     Manku-Jain-Sarma style, block-permutation banding)
+                     Manku-Jain-Sarma style, block-permutation banding),
+                     also through `joins.candidate_pairs`
 - ngram_jaccard:     exact Jaccard over word n-grams, evaluated only inside
                      LSH candidate buckets (not all pairs)
 - embedding near-dup lives in stages/similarity.py (cosine path).
@@ -232,15 +233,17 @@ def minhash_bands(sig_df: pd.DataFrame, n_bands: int, id_col: str = "doc_id") ->
                          id_col: np.repeat(sig_df[id_col].to_numpy(), n_bands)})
 
 
-def _dedup_pairs(pairs: "ray.data.Dataset", n_buckets: int = 64) -> "ray.data.Dataset":
-    """Global (id_a, id_b) dedup: `bucket_groups` on the pair + vectorized
-    per-bucket drop_duplicates (duplicate pair rows are identical by
-    construction, so keeping any one is exact)."""
-    from ..joins import bucket_groups
+def _est_jaccard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """MinHash estimate of every (a row, b row) pair: the share of equal
+    signature values."""
+    return (a[:, None, :] == b[None, :, :]).mean(axis=2)
 
-    return bucket_groups(
-        pairs, ["id_a", "id_b"], n_buckets,
-        lambda df: df.drop_duplicates(subset=["id_a", "id_b"]))
+
+def _lsh_rows(sig_df: pd.DataFrame, n_bands: int, id_col: str) -> pd.DataFrame:
+    """`candidate_pairs` rows of a MinHash signature batch: (band key, id,
+    signature)."""
+    return minhash_bands_with_sig(sig_df, n_bands, id_col).rename(
+        columns={"band_key": "key", id_col: "id", "minhash": "payload"})
 
 
 def minhash_lsh_pairs(docs: "ray.data.Dataset", n_perm: int = 64, n_bands: int = 16,
@@ -249,87 +252,25 @@ def minhash_lsh_pairs(docs: "ray.data.Dataset", n_perm: int = 64, n_bands: int =
                       n_buckets: int = 64) -> "ray.data.Dataset":
     """Near-duplicate pairs (id_a < id_b, est_jaccard ≥ threshold).
 
-    shingle→minhash (task map) → band explode → ONE shuffle on a COARSE
-    bucket of the band hash → per-bucket pandas groupby over the exact band
-    keys → pairwise signature verification inside each band group. The
-    coarse bucket keeps the Ray group count at `n_buckets` (vectorized
-    per-group work inside), instead of one tiny pandas frame per distinct
-    band hash — millions of near-singleton groups at corpus scale.
+    shingle→minhash (task map) → band rows → `joins.candidate_pairs` over
+    the band keys, scoring each collision group's signatures pairwise
+    (`_est_jaccard`). Signatures travel WITH the band rows (512 B each at
+    64 perms): one shuffle, and the verify needs no second join.
     """
-    sigs = _minhash_sigs(docs, n_perm, shingle_k, id_col, text_col)
-    # signatures travel WITH the band rows (512 B each at 64 perms): one
-    # shuffle total; in-bucket verification needs no second join.
-    banded_with_sig = sigs.map_batches(
-        lambda df: minhash_bands_with_sig(df, n_bands, id_col, n_buckets),
-        batch_format="pandas",
-    )
+    from ..joins import candidate_pairs
 
-    def verify_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        # singleton band keys (the vast majority) can't form a pair — drop
-        # them vectorized BEFORE the per-group Python loop.
-        id_dtype = df[id_col].dtype  # empty frames keep the caller's id type
-        df = df[df["band_key"].duplicated(keep=False)]
-        out_a: list[np.ndarray] = []
-        out_b: list[np.ndarray] = []
-        out_e: list[np.ndarray] = []
-        for _key, group in df.groupby("band_key", sort=False):
-            ids = group[id_col].to_numpy()
-            sig_m = np.asarray([np.asarray(s) for s in group["minhash"]])
-            n = len(ids)
-            # chunked pairwise compare: a dense (n, n, n_perm) tensor on a
-            # large collision group (boilerplate near-identical docs sharing
-            # a band — common at web scale) is O(n²·P) bytes in one task
-            # (n=10k, P=64 → ~6 GB). Compare CHUNK rows against the matrix
-            # instead: O(chunk·n·P), bounded ~32 MB regardless of n. For
-            # the typical tiny group (2-5 rows) chunk ≥ n, so the loop runs
-            # once — same arithmetic as the dense compare.
-            chunk = max(1, (32 << 20) // max(1, n * sig_m.shape[1]))
-            col_ids = ids[None, :]
-            cols = np.arange(n)[None, :]
-            for lo in range(0, n - 1, chunk):
-                hi = min(lo + chunk, n)
-                eq = (sig_m[lo:hi, None, :] == sig_m[None, :, :]).mean(axis=2)
-                rows_g = np.arange(lo, hi)[:, None]
-                ok = ((cols > rows_g) & (eq >= jaccard_threshold)
-                      & (col_ids != ids[lo:hi, None]))
-                ri, cj = np.nonzero(ok)
-                if ri.size:
-                    ia, jb = ids[lo + ri], ids[cj]
-                    out_a.append(np.minimum(ia, jb))
-                    out_b.append(np.maximum(ia, jb))
-                    out_e.append(np.round(eq[ri, cj], 6))
-        if not out_a:
-            return pd.DataFrame({"id_a": pd.Series([], dtype=id_dtype),
-                                 "id_b": pd.Series([], dtype=id_dtype),
-                                 "est_jaccard": pd.array([], dtype="float64")})
-        return pd.DataFrame({"id_a": np.concatenate(out_a),
-                             "id_b": np.concatenate(out_b),
-                             "est_jaccard": np.concatenate(out_e)}
-                            ).drop_duplicates(["id_a", "id_b"])
-
-    pairs = banded_with_sig.groupby("_bucket").map_groups(
-        verify_bucket, batch_format="pandas"
-    )
-    # a pair can surface from bands in DIFFERENT coarse buckets → global dedup
-    return _dedup_pairs(pairs, n_buckets)
+    rows = _minhash_sigs(docs, n_perm, shingle_k, id_col, text_col).map_batches(
+        lambda df: _lsh_rows(df, n_bands, id_col), batch_format="pandas")
+    return candidate_pairs(rows, n_buckets, _est_jaccard,
+                           lambda est: est >= jaccard_threshold, "est_jaccard")
 
 
 def minhash_bands_with_sig(sig_df: pd.DataFrame, n_bands: int,
-                           id_col: str = "doc_id",
-                           n_buckets: int = 64) -> pd.DataFrame:
-    if len(sig_df) == 0:
-        return pd.DataFrame({"band_key": pd.array([], dtype="int64"),
-                             id_col: [], "minhash": [],
-                             "_bucket": pd.array([], dtype="int32")})
-    sigs = np.asarray([np.asarray(s) for s in sig_df["minhash"]], dtype=np.int64)
-    keys = _band_keys(sigs, n_bands).ravel()
-    df = pd.DataFrame({
-        "band_key": keys,
-        id_col: np.repeat(sig_df[id_col].to_numpy(), n_bands),
-        "minhash": sig_df["minhash"].to_numpy().repeat(n_bands),
-    })
-    df["_bucket"] = (df["band_key"].to_numpy() % n_buckets).astype("int32")
-    return df
+                           id_col: str = "doc_id") -> pd.DataFrame:
+    """`minhash_bands` rows plus each doc's signature (`minhash`)."""
+    b = minhash_bands(sig_df, n_bands, id_col)
+    b["minhash"] = sig_df["minhash"].to_numpy().repeat(n_bands)
+    return b
 
 
 # ---------------------------------------------------------------- simhash
@@ -387,73 +328,32 @@ def simhash_near_dups(docs: "ray.data.Dataset", n_blocks: int = 4,
                       n_buckets: int = 64) -> "ray.data.Dataset":
     """Near-dup pairs by simhash: docs sharing any of `n_blocks` 16-bit blocks
     are candidates (block-permutation banding); pairs verified by Hamming ≤ k.
-    Same coarse-bucket shuffle shape as minhash_lsh_pairs: one shuffle on
-    hash(block)%B, vectorized per-block pandas groupby inside each bucket."""
+    Each doc gives one `joins.candidate_pairs` row per block, keyed by
+    (block index, block bits), with its simhash as the payload."""
+    from ..joins import candidate_pairs
+
     sigs = docs.select_columns([id_col, text_col]).map_batches(
         SimHasher(text_col=text_col, id_col=id_col), batch_format="pandas")
 
-    width = 64 // n_blocks
+    width = np.uint64(64 // n_blocks)
+    blocks = np.arange(n_blocks, dtype=np.uint64)
 
-    def explode(df: pd.DataFrame) -> pd.DataFrame:
-        rows = {"block_key": [], id_col: [], "simhash": []}
-        for doc_id, sh in zip(df[id_col], df["simhash"]):
-            sh = int(sh)
-            for b in range(n_blocks):
-                block = (sh >> (b * width)) & ((1 << width) - 1)
-                rows["block_key"].append((b << width) | block)
-                rows[id_col].append(doc_id)
-                rows["simhash"].append(sh)
-        # explicit uint64: a plain int column would be inferred as object /
-        # float64 crossing the Arrow block boundary, silently destroying the
-        # signature's low bits (wrong Hamming distances downstream)
-        out = pd.DataFrame({
-            "block_key": pd.array(rows["block_key"], dtype="int64"),
-            id_col: rows[id_col],
-            "simhash": pd.array(rows["simhash"], dtype="uint64"),
-        })
-        out["_bucket"] = (out["block_key"].to_numpy() % n_buckets).astype("int32")
-        return out
+    def band_rows(df: pd.DataFrame) -> pd.DataFrame:
+        # explicit uint64 payload: a plain int column would be inferred as
+        # object / float64 crossing the Arrow block boundary, silently
+        # destroying the signature's low bits (wrong Hamming distances)
+        sh = df["simhash"].to_numpy(np.uint64)
+        bits = (sh[:, None] >> (blocks * width)) & ((np.uint64(1) << width)
+                                                    - np.uint64(1))
+        return pd.DataFrame({
+            "key": ((blocks << width) | bits).ravel().astype(np.int64),
+            "id": np.repeat(df[id_col].to_numpy(), n_blocks),
+            "payload": np.repeat(sh, n_blocks)})
 
-    def verify_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        # upper-triangle numpy verify per collision group: XOR matrix +
-        # byte-table popcount — no Python pair loop; singleton block keys
-        # dropped vectorized before the group loop
-        df = df[df["block_key"].duplicated(keep=False)]
-        parts = []
-        for _key, group in df.groupby("block_key", sort=False):
-            n = len(group)
-            ids = group[id_col].to_numpy(dtype=np.int64)
-            hs = group["simhash"].to_numpy(dtype=np.uint64)
-            # chunked row-block × all-columns compare (same bound as the
-            # minhash verify): full triu index arrays on a huge collision
-            # group are O(n²) ints in one task
-            chunk = max(1, (32 << 20) // max(1, n * 8))
-            cols = np.arange(n)[None, :]
-            col_ids = ids[None, :]
-            for lo in range(0, n - 1, chunk):
-                hi = min(lo + chunk, n)
-                d = _popcount_u64(hs[lo:hi, None] ^ hs[None, :])
-                rows_g = np.arange(lo, hi)[:, None]
-                ok = ((cols > rows_g) & (d <= max_hamming)
-                      & (col_ids != ids[lo:hi, None]))
-                ri, cj = np.nonzero(ok)
-                if ri.size:
-                    ia, ib = ids[lo + ri], ids[cj]
-                    parts.append(pd.DataFrame({
-                        "id_a": np.minimum(ia, ib),
-                        "id_b": np.maximum(ia, ib),
-                        "hamming": d[ri, cj].astype("int64")}))
-        if not parts:
-            return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                                 "id_b": pd.Series([], dtype="int64"),
-                                 "hamming": pd.Series([], dtype="int64")})
-        return pd.concat(parts, ignore_index=True).drop_duplicates(
-            ["id_a", "id_b"])
-
-    pairs = sigs.map_batches(explode, batch_format="pandas").groupby("_bucket").map_groups(
-        verify_bucket, batch_format="pandas"
-    )
-    return _dedup_pairs(pairs, n_buckets)
+    return candidate_pairs(
+        sigs.map_batches(band_rows, batch_format="pandas"), n_buckets,
+        lambda a, b: _popcount_u64(a[:, None] ^ b[None, :]),
+        lambda d: d <= max_hamming, "hamming", "int64")
 
 
 def ngram_jaccard_pairs(docs: "ray.data.Dataset", shingle_k: int = 3,
@@ -575,7 +475,9 @@ def substring_dup_pairs(docs: "ray.data.Dataset", k: int = 16, w: int = 8,
     seen in > `max_df` docs are dropped as boilerplate — they would emit
     O(df²) pairs and match everything) → pair rows → salted grouped count →
     `n_shared ≥ min_shared` filter. Two shuffles, both over fingerprint/pair
-    rows (≈ docs × windows/w rows), never all-pairs over the corpus."""
+    rows (≈ docs × windows/w rows), never all-pairs over the corpus.
+    Not on `joins.candidate_pairs`: it counts each pair once per shared
+    fingerprint, which that primitive's pair dedup would collapse."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -1122,12 +1024,12 @@ def neardup_against_store(new_docs: "ray.data.Dataset", store_dir: str,
     Selective I/O: only the `bucket=` partitions the new shard's band
     keys fall in are read — I/O proportional to the APPEND, never the
     store. One `joins._cogroup` over the band bucket pairs the sides; the
-    per-band verify compares the new×stored signature matrices
-    (chunk-bounded like minhash_lsh_pairs' verify); per-bucket (new,
-    stored, matches) candidates reduce to the best via one grouped
+    per-band verify compares the new×stored signature matrices with
+    `joins.chunk_pairs` (the chunk bound of every LSH verify); per-bucket
+    (new, stored, matches) candidates reduce to the best via one grouped
     argmax."""
     from ..aggregates import argmax_per_key
-    from ..joins import _cogroup
+    from ..joins import _cogroup, chunk_pairs
 
     new_rows = _minhash_sigs(new_docs, n_perm, shingle_k, id_col, text_col) \
         .map_batches(lambda df: _band_rows(df, n_bands, n_buckets, id_col,
@@ -1159,25 +1061,18 @@ def neardup_against_store(new_docs: "ray.data.Dataset", store_dir: str,
         old_by_band = dict(tuple(old.groupby("band_key", sort=False)))
         for k, new_g in new.groupby("band_key", sort=False):
             old_g = old_by_band[k]
-            so = np.stack([np.frombuffer(b, dtype=np.int64)
-                           for b in old_g["minhash_b"]])
-            sn = np.stack([np.frombuffer(b, dtype=np.int64)
-                           for b in new_g["minhash_b"]])
-            # chunk the new side against the stored matrix (~32 MB bound,
-            # the minhash_lsh_pairs verify discipline) — a boilerplate-
-            # heavy band with 10k stored members would otherwise build an
-            # O(new·stored·P) tensor in one task
-            chunk = max(1, (32 << 20) // max(1, so.shape[0] * n_perm))
-            for lo in range(0, sn.shape[0], chunk):
-                hi = min(lo + chunk, sn.shape[0])
-                m = (sn[lo:hi, None, :] == so[None, :, :]).sum(axis=2)
-                ok = m * 1000 >= thr_milli * n_perm
-                ri, cj = np.nonzero(ok)
-                if ri.size:
-                    out.append(pd.DataFrame({
-                        id_col: new_g[id_col].to_numpy("int64")[lo + ri],
-                        "dup_of": old_g[id_col].to_numpy("int64")[cj],
-                        "est_matches": m[ri, cj].astype("int64")}))
+            i, j, m = chunk_pairs(
+                np.stack([np.frombuffer(b, dtype=np.int64)
+                          for b in new_g["minhash_b"]]),
+                np.stack([np.frombuffer(b, dtype=np.int64)
+                          for b in old_g["minhash_b"]]),
+                lambda a, b: (a[:, None, :] == b[None, :, :]).sum(axis=2),
+                lambda m: m * 1000 >= thr_milli * n_perm)
+            if len(i):
+                out.append(pd.DataFrame({
+                    id_col: new_g[id_col].to_numpy("int64")[i],
+                    "dup_of": old_g[id_col].to_numpy("int64")[j],
+                    "est_matches": m.astype("int64")}))
         return pd.concat(out, ignore_index=True) if out else empty.copy()
 
     cols = ["band_key", id_col, "minhash_b"]

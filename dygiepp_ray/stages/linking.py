@@ -124,39 +124,35 @@ def _char_kgram_set(name: str, k: int) -> "np.ndarray":
 
 
 class CharNameMinHasher:
-    """Task-pool stage: name → n_perm minhash values over the char-k-gram
-    set (the name-similarity twin of `dedup.MinHasher`; same seed family)."""
+    """Name → n_perm minhash values over the char-k-gram set (the
+    name-similarity twin of `dedup.MinHasher`; same seed family)."""
 
-    def __init__(self, n_perm: int = 64, k: int = 3, seed: int = 11,
-                 name_col: str = "name"):
+    def __init__(self, n_perm: int = 64, k: int = 3, seed: int = 11):
         from .dedup import _perm_params
 
         self.seeds = _perm_params(n_perm, seed)
-        self.n_perm = n_perm
         self.k = k
-        self.name_col = name_col
 
     def signature(self, name: str) -> "np.ndarray":
-        import numpy as np
+        return self.set_signature(_char_kgram_set(name, self.k))
 
+    def set_signature(self, kgrams: "np.ndarray") -> "np.ndarray":
         from .dedup import _splitmix64
 
-        x = _char_kgram_set(name, self.k)
-        vals = _splitmix64(x[:, None] ^ self.seeds[None, :]).min(axis=0)
+        vals = _splitmix64(kgrams[:, None] ^ self.seeds[None, :]).min(axis=0)
         return (vals >> np.uint64(2)).astype(np.int64)
 
-    def __call__(self, batch: "pd.DataFrame") -> "pd.DataFrame":
-        sigs = [self.signature(n).tolist() for n in batch[self.name_col]]
-        return pd.DataFrame({self.name_col: batch[self.name_col].values,
-                             "minhash": sigs})
+
+def _kgram_jaccard(sa: "np.ndarray", sb: "np.ndarray") -> float:
+    """Exact Jaccard of two `_char_kgram_set` arrays."""
+    inter = len(np.intersect1d(sa, sb, assume_unique=True))
+    union = len(sa) + len(sb) - inter
+    return inter / union if union else 0.0
 
 
 def exact_name_jaccard(a: str, b: str, k: int = 3) -> float:
     """Exact char-k-gram Jaccard between two names (the verify metric)."""
-    sa, sb = _char_kgram_set(a, k), _char_kgram_set(b, k)
-    inter = len(np.intersect1d(sa, sb, assume_unique=True))
-    union = len(sa) + len(sb) - inter
-    return inter / union if union else 0.0
+    return _kgram_jaccard(_char_kgram_set(a, k), _char_kgram_set(b, k))
 
 
 def alias_pairs(names: "ray.data.Dataset", threshold: float = 0.5,
@@ -164,45 +160,34 @@ def alias_pairs(names: "ray.data.Dataset", threshold: float = 0.5,
                 name_col: str = "name",
                 n_buckets: int = 64) -> "ray.data.Dataset":
     """(id_a < id_b, jaccard) name pairs with exact char-k-gram Jaccard ≥
-    threshold, candidate-generated by char-minhash LSH banding (one coarse
-    shuffle — the `minhash_lsh_pairs` shape over the NAME vocabulary, which
-    is orders of magnitude smaller than the corpus but can still exceed
-    driver memory at web scale)."""
-    from .dedup import _dedup_pairs, minhash_bands_with_sig
+    threshold, candidate-generated by char-minhash LSH banding: one
+    `joins.candidate_pairs` shuffle of (band key, name, k-gram set) rows —
+    the `minhash_lsh_pairs` shape over the NAME vocabulary, which is orders
+    of magnitude smaller than the corpus but can still exceed driver memory
+    at web scale."""
+    from ..joins import candidate_pairs
+    from .dedup import _band_keys
 
-    sigs = names.map_batches(
-        CharNameMinHasher(n_perm=n_perm, k=k, name_col=name_col),
-        batch_format="pandas")
-    banded = sigs.map_batches(
-        lambda df: minhash_bands_with_sig(df, n_bands, name_col, n_buckets),
-        batch_format="pandas")
+    hasher = CharNameMinHasher(n_perm=n_perm, k=k)
 
-    def verify_bucket(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df[df["band_key"].duplicated(keep=False)]
-        out_a, out_b, out_j = [], [], []
-        for _key, group in df.groupby("band_key", sort=False):
-            ns = group[name_col].tolist()
-            sets = [_char_kgram_set(n, k) for n in ns]
-            for i in range(len(ns)):
-                for j in range(i + 1, len(ns)):
-                    if ns[i] == ns[j]:
-                        continue
-                    inter = len(np.intersect1d(sets[i], sets[j],
-                                               assume_unique=True))
-                    union = len(sets[i]) + len(sets[j]) - inter
-                    jac = inter / union if union else 0.0
-                    if jac >= threshold:
-                        a, b = sorted((ns[i], ns[j]))
-                        out_a.append(a)
-                        out_b.append(b)
-                        out_j.append(round(jac, 6))
-        return pd.DataFrame({"id_a": pd.array(out_a, dtype="string"),
-                             "id_b": pd.array(out_b, dtype="string"),
-                             "jaccard": pd.array(out_j, dtype="float64")})
+    def band_rows(df: "pd.DataFrame") -> "pd.DataFrame":
+        names = df[name_col].to_numpy(object)
+        sets = [_char_kgram_set(n, k) for n in names]
+        sigs = np.array([hasher.set_signature(x) for x in sets],
+                        dtype=np.int64).reshape(len(sets), n_perm)
+        payload = np.empty(len(sets), dtype=object)
+        payload[:] = sets
+        return pd.DataFrame({"key": _band_keys(sigs, n_bands).ravel(),
+                             "id": np.repeat(names, n_bands),
+                             "payload": np.repeat(payload, n_bands)})
 
-    pairs = banded.groupby("_bucket").map_groups(verify_bucket,
-                                                batch_format="pandas")
-    return _dedup_pairs(pairs, n_buckets)
+    def jaccard(a: "np.ndarray", b: "np.ndarray") -> "np.ndarray":
+        return np.array([[_kgram_jaccard(x, y) for y in b] for x in a]
+                        ).reshape(len(a), len(b))
+
+    return candidate_pairs(names.map_batches(band_rows, batch_format="pandas"),
+                           n_buckets, jaccard, lambda jac: jac >= threshold,
+                           "jaccard")
 
 
 def alias_merge_edges(triples: "ray.data.Dataset", threshold: float = 0.5,
@@ -323,13 +308,13 @@ def edit1_name_pairs(names: "ray.data.Dataset", name_col: str = "name",
 
     Scale shape: the deletion-variant table is (len+1) rows per name — a
     bounded flat-map over the NAME VOCABULARY (vocabulary-scale, like
-    `alias_pairs`) — and pair generation happens per key inside coarse
-    hash buckets, deduped with the standard pair-bucket pass. `max_key_df`
-    caps degenerate keys (e.g. the empty-ish variants of very short names;
-    dropped groups are an explicit contract knob like substring_dup_pairs'
-    max_df — with min_len=2 no real key approaches it)."""
-    from ..joins import bucket_groups
-    from .dedup import _dedup_pairs
+    `alias_pairs`) — and its (variant, name) rows go through
+    `joins.candidate_pairs` with the names themselves as the payload.
+    `max_key_df` caps degenerate keys (e.g. the empty-ish variants of very
+    short names; dropped groups are an explicit contract knob like
+    substring_dup_pairs' max_df — with min_len=2 no real key approaches
+    it)."""
+    from ..joins import candidate_pairs
 
     def variants(df: "pd.DataFrame") -> "pd.DataFrame":
         keys, owners = [], []
@@ -341,28 +326,19 @@ def edit1_name_pairs(names: "ray.data.Dataset", name_col: str = "name",
             for i in range(len(n)):
                 keys.append(n[:i] + n[i + 1:])
                 owners.append(n)
-        return pd.DataFrame({"vkey": pd.array(keys, dtype="string"),
-                             name_col: pd.array(owners, dtype="string")})
+        return pd.DataFrame({"key": pd.array(keys, dtype="string"),
+                             "id": pd.array(owners, dtype="string")})
 
-    var = names.map_batches(variants, batch_format="pandas")
+    def within_edit1(a: "np.ndarray", b: "np.ndarray") -> "np.ndarray":
+        # `b` is the key's whole (distinct) name set: a key shared by more
+        # than `max_key_df` names pairs none of them
+        if len(b) > max_key_df:
+            return np.zeros((len(a), len(b)), dtype=bool)
+        return np.array([[_edit1(x, y) for y in b] for x in a],
+                        dtype=bool).reshape(len(a), len(b))
 
-    def verify_bucket(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df[df["vkey"].duplicated(keep=False)]
-        out_a, out_b = [], []
-        for _key, group in df.groupby("vkey", sort=False):
-            ns = sorted(set(group[name_col]))
-            if len(ns) < 2 or len(ns) > max_key_df:
-                continue
-            for i in range(len(ns)):
-                for j in range(i + 1, len(ns)):
-                    if _edit1(ns[i], ns[j]):
-                        out_a.append(ns[i])
-                        out_b.append(ns[j])
-        return pd.DataFrame({"id_a": pd.array(out_a, dtype="string"),
-                             "id_b": pd.array(out_b, dtype="string")})
-
-    return _dedup_pairs(bucket_groups(var, "vkey", n_buckets, verify_bucket),
-                        n_buckets)
+    return candidate_pairs(names.map_batches(variants, batch_format="pandas"),
+                           n_buckets, within_edit1, lambda ok: ok, None)
 
 
 def alias_type_conflicts(triples: "ray.data.Dataset",

@@ -167,17 +167,15 @@ def embedding_near_dups(embeddings: "ray.data.Dataset", threshold: float = 0.95,
     random-hyperplane LSH: a pair is a candidate if it collides in ANY of the
     `n_tables` independent sign-signatures. One table at n_bits=10 only
     catches ~(1-θ/π)^10 ≈ 22% of cosine-0.9 pairs; 8 tables lift recall to
-    ~86% (and ~99.8% at cosine 0.97). Pairs are exact-verified in-bucket and
-    deduped across tables. Shuffle key = (table, sig); rows = n_tables × n."""
-
-    from .dedup import _dedup_pairs
-
-    n_buckets = 64
+    ~86% (and ~99.8% at cosine 0.97). Pairs are exact-verified by
+    `joins.candidate_pairs` over the (table, sig) keys, which also dedups
+    them across tables; rows = n_tables × n."""
+    from ..joins import candidate_pairs
 
     # hyperplanes built per batch from the fixed seed — identical everywhere.
     # Table replication is a block np.tile/list-repeat over the (n_tables, n)
-    # signature matrix (table-major, matching the old per-row loop's order) —
-    # no per-(table, row) Python appends in this hot LSH path.
+    # signature matrix (table-major) — no per-(table, row) Python appends in
+    # this hot LSH path.
     def sig_block(batch: pd.DataFrame) -> pd.DataFrame:
         m = _normalize(_batch_matrix(batch, vec_col))
         n = m.shape[0]
@@ -188,58 +186,24 @@ def embedding_near_dups(embeddings: "ray.data.Dataset", threshold: float = 0.95,
             all_sigs[t] = _lsh_sig(m, planes).astype(np.int64)
         table_sig = (np.arange(n_tables, dtype=np.int64)[:, None] << n_bits
                      ) | all_sigs
-        out = pd.DataFrame({
-            "table_sig": pd.array(table_sig.ravel(), dtype="int64"),
-            id_col: np.tile(np.asarray(batch[id_col].values), n_tables),
-            vec_col: vecs * n_tables,
+        return pd.DataFrame({
+            "key": pd.array(table_sig.ravel(), dtype="int64"),
+            "id": np.tile(np.asarray(batch[id_col].values), n_tables),
+            "payload": vecs * n_tables,
         })
-        out["_bucket"] = (out["table_sig"].to_numpy() % n_buckets).astype("int32")
-        return out
 
-    def verify_bucket(df: pd.DataFrame) -> pd.DataFrame:
+    def cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # float64 verification math: float32 dots differ in the last ulp
         # across BLAS shapes, which would flip the 6-decimal rounding between
         # buckets (and against the independent oracle); double precision puts
-        # the rounding boundary ~1e10 x further away. Upper-triangle numpy
-        # thresholding — no Python pair loop.
-        df = df[df["table_sig"].duplicated(keep=False)]
-        parts = []
-        for _key, group in df.groupby("table_sig", sort=False):
-            n = len(group)
-            ids = group[id_col].to_numpy(dtype=np.int64)
-            m = _normalize(np.stack([np.asarray(v, dtype=np.float64)
-                                     for v in group[vec_col]]))
-            # chunked row-block × matrix compare: a dense n×n cosine matrix
-            # on a huge collision group is O(n²) float64 in one task (same
-            # bound as the minhash/simhash verifies)
-            chunk = max(1, (32 << 20) // max(1, n * 8))
-            cols = np.arange(n)[None, :]
-            col_ids = ids[None, :]
-            for lo in range(0, n - 1, chunk):
-                hi = min(lo + chunk, n)
-                cos = m[lo:hi] @ m.T
-                rows_g = np.arange(lo, hi)[:, None]
-                ok = ((cols > rows_g) & (cos >= threshold)
-                      & (col_ids != ids[lo:hi, None]))
-                ri, cj = np.nonzero(ok)
-                if ri.size:
-                    ia, ib = ids[lo + ri], ids[cj]
-                    parts.append(pd.DataFrame({
-                        "id_a": np.minimum(ia, ib), "id_b": np.maximum(ia, ib),
-                        "cosine": np.round(cos[ri, cj], 6)}))
-        if not parts:
-            return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                                 "id_b": pd.Series([], dtype="int64"),
-                                 "cosine": pd.Series([], dtype="float64")})
-        return pd.concat(parts, ignore_index=True).drop_duplicates(
-            ["id_a", "id_b"])
+        # the rounding boundary ~1e10 x further away
+        return (_normalize(a.astype(np.float64))
+                @ _normalize(b.astype(np.float64)).T)
 
     sigs = embeddings.select_columns([id_col, vec_col]).map_batches(
-        sig_block, batch_format="pandas"
-    )
-    pairs = sigs.groupby("_bucket").map_groups(verify_bucket, batch_format="pandas")
-    # a pair can collide in tables landing in different coarse buckets
-    return _dedup_pairs(pairs, n_buckets)
+        sig_block, batch_format="pandas")
+    return candidate_pairs(sigs, 64, cosine, lambda cos: cos >= threshold,
+                           "cosine")
 
 
 # ---------------------------------------------------------------- PCA

@@ -12,9 +12,12 @@ consuming each result with `materialize()`. Before each run it collects
 garbage and waits until every session CPU is free, so no run inherits
 another's held CPUs. Peak RSS is sampled every 50 ms over the driver and
 its `ray::` worker processes, as the perfbench sampler does, so it covers
-the whole session, not one query's own allocations. Prints one JSON object
-with the git head, CPU count, loadavg and every run; each run also goes to
-stderr as it ends.
+the whole session, not one query's own allocations. After the wall is
+read, each run also records what the query returned, from the already
+materialized result: its pandas dtypes and the sha256 of its rows sorted
+by all columns (`_digest`), so two checkouts' outputs compare directly.
+Prints one JSON object with the git head, CPU count, loadavg and every
+run; each run also goes to stderr as it ends.
 """
 
 from __future__ import annotations
@@ -71,6 +74,20 @@ class PeakRss(threading.Thread):
             self.peak = max(self.peak, _tree_rss(me, page))
 
 
+def _digest(df) -> str:
+    """sha256 of `df`'s rows, sorted by all columns: each row is taken as
+    the repr of its Arrow `to_pylist()` dict (plain Python values, no
+    truncated numpy repr) and rows sort by that text, so list and null
+    cells sort too and the digest ignores row order."""
+    import hashlib
+
+    import pyarrow as pa
+
+    rows = sorted(map(repr, pa.Table.from_pandas(
+        df, preserve_index=False).to_pylist()))
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
 def main() -> int:
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ap = argparse.ArgumentParser()
@@ -112,14 +129,21 @@ def main() -> int:
             sampler.start()
             t0 = time.perf_counter()
             res = qs[name](args.sf)
-            rows = (res.materialize().count()
-                    if isinstance(res, ray.data.Dataset) else len(res))
+            if isinstance(res, ray.data.Dataset):
+                res = res.materialize()
+                rows = res.count()
+            else:
+                rows = len(res)
             wall = time.perf_counter() - t0
             sampler.stop.set()
             sampler.join()
+            df = res.to_pandas() if isinstance(res, ray.data.Dataset) else res
             runs.append({"query": name, "rep": rep, "wall_s": round(wall, 3),
                          "peak_rss_mb": round(sampler.peak / 1e6, 1),
-                         "rows": rows})
+                         "rows": rows,
+                         "dtypes": {str(c): str(t)
+                                    for c, t in df.dtypes.items()},
+                         "sha256": _digest(df)})
             print(json.dumps(runs[-1]), file=sys.stderr)
     head = subprocess.run(["git", "-C", args.repo, "rev-parse", "HEAD"],
                           capture_output=True, text=True).stdout.strip()

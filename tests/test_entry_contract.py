@@ -33,6 +33,30 @@ def test_spot_check_vs_duckdb():
             assert (ours[c].astype(str).values == theirs[c].astype(str).values).all(), (name, c)
 
 
+def test_kg_build_resume_builds_fresh_on_every_call(monkeypatch):
+    """`kg_build_resume` builds into its own fresh directory on each call:
+    on a second call its first `build_kg` still writes all 16 buckets, its
+    second writes none, and no build directory is left behind."""
+    import os
+
+    from dygiepp_ray.pipelines import kg as kgp
+
+    m = _entrymod()
+    build, calls = kgp.build_kg, []
+
+    def spy(corpus, out, *args, **kwargs):
+        res = build(corpus, out, *args, **kwargs)
+        calls.append((out, len(res["written_buckets"])))
+        return res
+
+    monkeypatch.setattr(kgp, "build_kg", spy)
+    for _ in range(2):
+        got = m.queries()["kg_build_resume"]("/root/testdata/sf0.001")
+        assert len(got) == 16 and (got["second_written"] == 0).all()
+    assert [n for _, n in calls] == [16, 0, 16, 0]
+    assert not any(os.path.exists(out) for out, _ in calls)
+
+
 def test_entry_runs():
     m = _entrymod()
     res = m.entry()

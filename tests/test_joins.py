@@ -6,9 +6,10 @@ import pytest
 
 import ray.data
 
+from dygiepp_ray import joins
 from dygiepp_ray.joins import (asof_join, broadcast_lookup, bucket_groups,
-                               hash_join, interval_join, skew_join,
-                               zip_join_assert)
+                               chunk_pairs, hash_join, interval_join,
+                               skew_join, zip_join_assert)
 
 
 @pytest.fixture(scope="module")
@@ -323,12 +324,50 @@ def test_bucket_groups_empty_input():
     assert len(empty.groupby("k").size()) == 0
 
 
+def test_chunk_pairs_matches_dense_compare_across_chunks(monkeypatch):
+    """With the chunk bound shrunk, a 50-row self group and a 50 × 23 cross
+    group each span several chunks whose size does not divide the row
+    count; the pairs found equal a dense all-pairs compare."""
+    rng = np.random.RandomState(3)
+    a = rng.randint(0, 3, size=(50, 4)).astype(np.int64)
+    b = rng.randint(0, 3, size=(23, 4)).astype(np.int64)
+    # row width 32 B: self chunk 11_300 // (50 * 32) = 7 rows (8 chunks),
+    # cross chunk 11_300 // (23 * 32) = 15 rows (4 chunks)
+    monkeypatch.setattr(joins, "PAIR_CHUNK_BYTES", 11_300)
+    calls = []
+
+    def score(x, y):
+        calls.append(len(x))
+        return (x[:, None, :] == y[None, :, :]).sum(axis=2)
+
+    def keep(s):
+        return s >= 2
+
+    def dense(x, y, upper):
+        s = score(x, y)
+        return {(i, j, int(s[i, j])) for i in range(len(x))
+                for j in range(len(y)) if keep(s[i, j]) and (j > i or not upper)}
+
+    for x, y, chunk in ((a, None, 7), (a, b, 15)):
+        calls.clear()
+        i, j, s = chunk_pairs(x, y, score, keep)
+        assert calls == [chunk] * (50 // chunk) + [50 % chunk]
+        got = set(zip(i.tolist(), j.tolist(), s.tolist()))
+        assert len(got) == len(i)
+        want = dense(x, a if y is None else y, y is None)
+        assert got == want and len(want) > 20
+
+
 def test_one_sided_bucket_shuffles_use_bucket_groups():
     """Keyed coarse-bucket shuffles stamp through `joins._key_buckets`, the
     stamp of `bucket_groups` and of the two-sided joins: no engine module
     hand-rolls a per-row `zlib.crc32` bucket loop, and `hash_pandas_object`
     is called only by that helper and by DSIR's feature hashing
-    (`oracle.py` is independent of the engine by design)."""
+    (`oracle.py` is independent of the engine by design). The LSH pair
+    stages share one primitive: the chunk bound (`32 << 20`) and the
+    singleton prefilter (`duplicated(keep=False)`) appear once each, in
+    `joins.py`'s candidate-pair code, and only `joins.py` groups on
+    `_bucket`."""
     import pathlib
 
     root = pathlib.Path(__file__).resolve().parent.parent
@@ -350,3 +389,11 @@ def test_one_sided_bucket_shuffles_use_bucket_groups():
     helper = helper[:helper.index("\ndef ")]
     call = "pd.util.hash_pandas_object("
     assert joins_src.count(call) == helper.count(call) == 1
+
+    primitive = joins_src[joins_src.index("PAIR_CHUNK_BYTES = "):]
+    primitive = primitive[:primitive.index("\ndef hash_join(")]
+    for needle in ("32 << 20", "duplicated(keep=False)"):
+        assert len(lines_with(needle)) == 1
+        assert joins_src.count(needle) == primitive.count(needle) == 1
+    assert {hit.rsplit(":", 1)[0] for hit in lines_with('groupby("_bucket")')
+            } == {"dygiepp_ray/joins.py"}

@@ -265,6 +265,23 @@ def test_build_runs_one_fused_task_per_work_unit(tmp_path, monkeypatch):
         want.sort_values(cols).reset_index(drop=True))
 
 
+def test_concurrency_above_work_units_does_not_warn(tmp_path):
+    """A 2-unit build and triples read at `concurrency=3` run their maps at
+    2 concurrent tasks, so Ray Data's warning about a concurrency above
+    the operator's inputs never fires."""
+    import warnings
+
+    corpus = str(tmp_path / "corpus")
+    write_corpus(corpus, n_files=80, seed=42, n_shards=8)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        build_kg(corpus, str(tmp_path / "kg"), n_buckets=4, concurrency=3,
+                 batch_size=40)
+        kg_triples(corpus, concurrency=3, batch_size=40).materialize()
+    assert not [w for w in caught
+                if "maximum number of concurrent tasks" in str(w.message)]
+
+
 @pytest.fixture
 def frees_cpus_on_return():
     """Runs a query with the cyclic GC off and asserts every session CPU is
