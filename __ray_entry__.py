@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 from collections.abc import Callable
 from typing import Any
 
@@ -212,6 +213,19 @@ def _store_tag(sf_dir: str, table: str) -> str:
     except OSError:
         fp = "nosrc"
     return f"{_sf_tag(sf_dir)}-{fp}-{_code_salt()}"
+
+
+def _prune_other_salts(store: str, sf_dir: str) -> None:
+    """Remove the stores next to `store` that hold the same sf tier under
+    another code salt (the last `-` field of a store name, before any
+    `.build-<pid>` suffix). Call it when `store` is (re)built: each engine
+    edit builds a new ~100 MB set, and nothing reads the old one again."""
+    family = os.path.dirname(store)
+    prefix, salt = f"{_sf_tag(sf_dir)}-", _code_salt()
+    for name in os.listdir(family) if os.path.isdir(family) else []:
+        if (name.startswith(prefix)
+                and name.split(".build-")[0].rsplit("-", 1)[-1] != salt):
+            shutil.rmtree(os.path.join(family, name), ignore_errors=True)
 
 
 _SYNTH_N_FILES = {"sf0.001": 100, "sf0.01": 400, "sf0.1": 2000}
@@ -504,8 +518,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # counts, so the per-user day cross product never leaves the join
         # task (per-user distinct days are bounded by the calendar, so no
         # skew salt is needed).
-        from dygiepp_ray.aggregates import (grouped_count, partial_final_agg,
-                                            strip_schema_metadata)
+        from dygiepp_ray.aggregates import grouped_count, partial_final_agg
         from dygiepp_ray.joins import hash_join
 
         ds = _read(sf_dir, "events", ["user_id", "ts"])
@@ -523,8 +536,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             ["user_id", "ym"], out_name="_c", salt_buckets=4,
         ).select_columns(["user_id", "ym"]).materialize()
         nxt = um.map_batches(
-            lambda t: strip_schema_metadata(t).rename_columns(
-                ["user_id", "ym_next"]),
+            lambda t: t.rename_columns(["user_id", "ym_next"]),
             batch_format="pyarrow")
 
         def adj_counts(m: pd.DataFrame) -> pd.DataFrame:
@@ -1211,9 +1223,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def q_user_day_outer(sf_dir: str):
         # FULL OUTER join (hash_join how="outer"): per-(user, day) purchase
         # vs click activity — co-bucketed keys make the per-bucket pandas
-        # outer merge compose to the global full outer join. Composite key
-        # user*1e6+day keeps the single-column join contract; unmatched
-        # sides fill 0 (COALESCE twin in the SQL oracle).
+        # outer merge compose to the global full outer join on the
+        # (user_id, day) column pair; unmatched sides fill 0 (COALESCE twin
+        # in the SQL oracle).
         from dygiepp_ray.aggregates import partial_final_agg
         from dygiepp_ray.joins import hash_join
 
@@ -1224,27 +1236,27 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 df = df[df["event_type"] == kind]
                 day = (df["ts"]
                        - pd.Timestamp("1970-01-01")).dt.days.astype("int64")
-                key = df["user_id"].to_numpy("int64") * 1_000_000 + day
                 return pd.DataFrame({
-                    "ud": key, "one": np.ones(len(df), "int64")})
+                    "user_id": df["user_id"].to_numpy("int64"), "day": day,
+                    "one": np.ones(len(df), "int64")})
             return fn
 
+        ud = ["user_id", "day"]
+        ud_types = dict.fromkeys(ud, pa.int64())
         p = partial_final_agg(
             ds.map_batches(prep("purchase"), batch_format="pandas"),
-            ["ud"], [("n_purchase", "one", "sum")])
+            ud, [("n_purchase", "one", "sum")])
         c = partial_final_agg(
             ds.map_batches(prep("click"), batch_format="pandas"),
-            ["ud"], [("n_click", "one", "sum")])
-        j = hash_join(p, c, on="ud", how="outer", n_buckets=16,
-                      left_types={"ud": pa.int64(),
-                                  "n_purchase": pa.int64()},
-                      right_types={"ud": pa.int64(), "n_click": pa.int64()})
+            ud, [("n_click", "one", "sum")])
+        j = hash_join(p, c, on=ud, how="outer", n_buckets=16,
+                      left_types={**ud_types, "n_purchase": pa.int64()},
+                      right_types={**ud_types, "n_click": pa.int64()})
 
         def finish(df: pd.DataFrame) -> pd.DataFrame:
-            ud = df["ud"].to_numpy("int64")
             return pd.DataFrame({
-                "user_id": ud // 1_000_000,
-                "day": ud % 1_000_000,
+                "user_id": df["user_id"].to_numpy("int64"),
+                "day": df["day"].to_numpy("int64"),
                 "n_purchase": df["n_purchase"].fillna(0).to_numpy(
                     "float64").astype("int64"),
                 "n_click": df["n_click"].fillna(0).to_numpy(
@@ -1280,20 +1292,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         scaffold = pd.DataFrame(
             [(t, d) for t in types for d in range(lo, hi + 1)],
             columns=["event_type", "day"])
-        scaffold["td"] = (scaffold["event_type"] + "|"
-                          + scaffold["day"].astype(str))
-        obs = counts.map_batches(
-            lambda df: pd.DataFrame({
-                "td": df["event_type"] + "|" + df["day"].astype(str),
-                "n_obs": df["n_obs"]}),
-            batch_format="pandas")
-        j = hash_join(ray.data.from_pandas(scaffold[["td", "event_type",
-                                                     "day"]]),
-                      obs, on="td", how="left", n_buckets=8,
-                      left_types={"td": pa.string(),
-                                  "event_type": pa.string(),
-                                  "day": pa.int64()},
-                      right_types={"td": pa.string(), "n_obs": pa.int64()})
+        td_types = {"event_type": pa.string(), "day": pa.int64()}
+        j = hash_join(ray.data.from_pandas(scaffold), counts,
+                      on=["event_type", "day"], how="left", n_buckets=8,
+                      left_types=td_types,
+                      right_types={**td_types, "n_obs": pa.int64()})
         return j.map_batches(
             lambda df: pd.DataFrame({
                 "event_type": df["event_type"], "day": df["day"],
@@ -4452,6 +4455,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         marker = os.path.join(store, "_done")
         if not os.path.exists(marker):
+            _prune_other_salts(store, sf_dir)
+
             def old_side(df: pd.DataFrame) -> pd.DataFrame:
                 even = df[df["doc_id"] % 2 == 0]
                 planted = df[(df["doc_id"] % 2 == 1)
@@ -4487,6 +4492,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         docs = _read(sf_dir, "documents", ["doc_id", "text"])
         marker = os.path.join(store, "_done")
         if not os.path.exists(marker):
+            _prune_other_salts(store, sf_dir)
             build_neardup_store(
                 docs.map_batches(lambda df: df[df["doc_id"] % 3 != 0],
                                  batch_format="pandas"), store)
@@ -4723,6 +4729,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         marker = os.path.join(idx, "_done")
         if not os.path.exists(marker):
             shutil.rmtree(idx, ignore_errors=True)
+            _prune_other_salts(idx, sf_dir)
             build_lsh_index(_read(sf_dir, "embeddings", ["vec_id", "embedding"]), idx)
             with open(marker, "w") as fh:
                 fh.write("ok")
@@ -5469,8 +5476,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # ontology alignment between two independently-extracted KG slices
         # (doc parity): predicate pairs ranked by EXTENSION overlap —
         # Jaccard of their distinct (subj, obj) pair sets. Scale shape:
-        # per-slice distinct (pred, pair), bucketed hash join on the pair
-        # key with in-task (pred_a, pred_b) partials, per-pred totals
+        # per-slice distinct (pred, subj, obj), bucketed hash join on the
+        # (subj, obj) columns with in-task (pred_a, pred_b) partials, per-pred totals
         # broadcast (predicate vocab is schema-bounded by nature).
         from dygiepp_ray.aggregates import (distinct_first, grouped_count,
                                             partial_final_agg)
@@ -5480,22 +5487,21 @@ def queries() -> dict[str, Callable[[str], Any]]:
         tri = _synth_triples(sf_dir).select_columns(
             ["doc_id", "pred", "subj_norm", "obj_norm"])
 
+        pk = ["pred", "subj_norm", "obj_norm"]
+
         def slice_fn(par: int):
             # doc keys are strings — slice on length parity (vectorized,
             # mirrored by SQL length(); split measured non-degenerate)
             def fn(df: pd.DataFrame) -> pd.DataFrame:
-                df = df[df["doc_id"].str.len() % 2 == par]
-                return pd.DataFrame({
-                    "pred": df["pred"],
-                    "k": df["subj_norm"] + "|" + df["obj_norm"]})
+                return df.loc[df["doc_id"].str.len() % 2 == par, pk]
             return fn
 
         a = distinct_first(tri.map_batches(slice_fn(0),
                                            batch_format="pandas"),
-                           ["pred", "k"]).materialize()
+                           pk).materialize()
         b = distinct_first(tri.map_batches(slice_fn(1),
                                            batch_format="pandas"),
-                           ["pred", "k"]).materialize()
+                           pk).materialize()
         na = grouped_count(a.select_columns(["pred"]), ["pred"],
                            out_name="n_a").to_pandas()
         nb = grouped_count(b.select_columns(["pred"]), ["pred"],
@@ -5504,10 +5510,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
                            batch_format="pandas")
         b2 = b.map_batches(lambda df: df.rename(columns={"pred": "pred_b"}),
                            batch_format="pandas")
+        so_types = {"subj_norm": pa.string(), "obj_norm": pa.string()}
         co = hash_join(
-            a2, b2, on="k", n_buckets=16,
-            left_types={"pred_a": pa.string(), "k": pa.string()},
-            right_types={"pred_b": pa.string(), "k": pa.string()},
+            a2, b2, on=["subj_norm", "obj_norm"], n_buckets=16,
+            left_types={**so_types, "pred_a": pa.string()},
+            right_types={**so_types, "pred_b": pa.string()},
             bucket_post=lambda df: df.groupby(
                 ["pred_a", "pred_b"], as_index=False).size().rename(
                 columns={"size": "c_p"}))
@@ -5737,7 +5744,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # relax join + grouped min); same deterministic seed rule as
         # kg_closeness.
         from dygiepp_ray import oracle as _o
-        from dygiepp_ray.aggregates import strip_schema_metadata
         from dygiepp_ray.stages.graph import weighted_min_distances
 
         _ensure_triples_oracle(sf_dir)
@@ -5746,7 +5752,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
                                               max_rounds=4))
 
         def canon(t: pa.Table) -> pa.Table:
-            t = strip_schema_metadata(t)
             s = t.column("subj_norm").combine_chunks().cast(pa.string())
             o = t.column("obj_norm").combine_chunks().cast(pa.string())
             u = pc.min_element_wise(s, o)
@@ -5769,7 +5774,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
                                   ).materialize()
 
         def explode(t: pa.Table) -> pa.Table:
-            t = strip_schema_metadata(t)
             cols = []
             for cname in ("u", "v"):
                 arr = t.column(cname).combine_chunks()
@@ -5810,14 +5814,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # (float summation order would be partitioning-dependent; floored
         # nano-log terms make the reduce exact and the SQL mirror uses
         # the identical ln expression per row). dmin = 1 by contract.
-        from dygiepp_ray.aggregates import partial_final_agg, \
-            strip_schema_metadata
+        from dygiepp_ray.aggregates import partial_final_agg
 
         _ensure_triples_oracle(sf_dir)
         edges = _distinct_edge_ds(sf_dir).materialize()
 
         def sym(t: pa.Table) -> pa.Table:
-            t = strip_schema_metadata(t)
             u = t.column("subj_norm")
             v = t.column("obj_norm")
             c = pa.chunked_array(list(u.chunks) + list(v.chunks), u.type)
@@ -5875,14 +5877,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # edge scan emits per-k indicator partials; n_k comes off the
         # degree table the same way. density_ppm = E_k·1e6 //
         # (n_k·(n_k−1)/2), exact ints end to end.
-        from dygiepp_ray.aggregates import partial_final_agg, \
-            strip_schema_metadata
+        from dygiepp_ray.aggregates import partial_final_agg
 
         _ensure_triples_oracle(sf_dir)
         edges = _distinct_edge_ds(sf_dir).materialize()
 
         def canon(t: pa.Table) -> pa.Table:
-            t = strip_schema_metadata(t)
             s = t.column("subj_norm").combine_chunks().cast(pa.string())
             o = t.column("obj_norm").combine_chunks().cast(pa.string())
             u = pc.min_element_wise(s, o)
@@ -5896,7 +5896,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
                             ).select_columns(["u", "v"]).materialize()
 
         def explode(t: pa.Table) -> pa.Table:
-            t = strip_schema_metadata(t)
             cols = []
             for cname in ("u", "v"):
                 arr = t.column(cname).combine_chunks()
@@ -5954,9 +5953,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # r_ppm = sign(num)·(|num|·1e6 // den) — the TRUNCATING division
         # DuckDB's // applies to negatives (documented gotcha).
         from dygiepp_ray import oracle as _o
-        from dygiepp_ray.aggregates import (argmax_per_key,
-                                            partial_final_agg,
-                                            strip_schema_metadata)
+        from dygiepp_ray.aggregates import argmax_per_key, partial_final_agg
         from dygiepp_ray.joins import hash_join
 
         _ensure_triples_oracle(sf_dir)
@@ -5982,11 +5979,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         s_t = pa.string()
         t_subj = types.map_batches(
-            lambda t: strip_schema_metadata(t).rename_columns(
-                ["subj_norm", "subj_type"]), batch_format="pyarrow")
+            lambda t: t.rename_columns(["subj_norm", "subj_type"]),
+            batch_format="pyarrow")
         t_obj = types.map_batches(
-            lambda t: strip_schema_metadata(t).rename_columns(
-                ["obj_norm", "obj_type"]), batch_format="pyarrow")
+            lambda t: t.rename_columns(["obj_norm", "obj_type"]),
+            batch_format="pyarrow")
         typed_s = hash_join(
             edges, t_subj, on="subj_norm", how="left", n_buckets=16,
             left_types={"subj_norm": s_t, "obj_norm": s_t},
@@ -6217,7 +6214,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # HYPONYM-OF subgraph (a non-singleton SCC = a hierarchy cycle);
         # deterministic BSP trim+coloring, oracle = iterative Tarjan
         from dygiepp_ray import oracle as _o
-        from dygiepp_ray.aggregates import strip_schema_metadata
         from dygiepp_ray.stages.graph import strongly_connected_components
 
         PRED = "HYPONYM-OF"
@@ -6228,7 +6224,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
             ["subj_norm", "pred", "obj_norm"])
 
         def keep(t):
-            t = strip_schema_metadata(t)
             return t.filter(pc.equal(t.column("pred"), PRED)).select(
                 ["subj_norm", "obj_norm"])
 
@@ -6302,14 +6297,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # highest-degree entities (deterministic (deg DESC, name) tie-break
         # mirrored in the oracle's ORDER BY): per round ONE bucketed
         # semi-join + grouped distinct, min-dist partial+final at the end.
-        from dygiepp_ray.aggregates import strip_schema_metadata
         from dygiepp_ray.stages.graph import bfs_distances
 
         _ensure_triples_oracle(sf_dir)
         edges = _distinct_edge_ds(sf_dir).materialize()
 
         def sym(t):
-            t = strip_schema_metadata(t)
             u = t.column("subj_norm")
             v = t.column("obj_norm")
             c = pa.chunked_array(list(u.chunks) + list(v.chunks), u.type)
@@ -6337,15 +6330,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # executions as one), then a per-node exact-int reduce:
         # n_sources reaching, dist_sum, harmonic_ppm = sum 1e6//d. All
         # integer — no float centrality normalization to drift.
-        from dygiepp_ray.aggregates import (partial_final_agg,
-                                            strip_schema_metadata)
+        from dygiepp_ray.aggregates import partial_final_agg
         from dygiepp_ray.stages.graph import bfs_distances_per_seed
 
         _ensure_triples_oracle(sf_dir)
         edges = _distinct_edge_ds(sf_dir).materialize()
 
         def sym(t):
-            t = strip_schema_metadata(t)
             u = t.column("subj_norm")
             v = t.column("obj_norm")
             c = pa.chunked_array(list(u.chunks) + list(v.chunks), u.type)
@@ -6384,15 +6375,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # kg_closeness, reduced per SEED instead of per node — reach
         # count, max distance (within the 3-round horizon), exact mean
         # distance in scaled ppm (floor)
-        from dygiepp_ray.aggregates import (partial_final_agg,
-                                            strip_schema_metadata)
+        from dygiepp_ray.aggregates import partial_final_agg
         from dygiepp_ray.stages.graph import bfs_distances_per_seed
 
         _ensure_triples_oracle(sf_dir)
         edges = _distinct_edge_ds(sf_dir).materialize()
 
         def sym(t):
-            t = strip_schema_metadata(t)
             u = t.column("subj_norm")
             v = t.column("obj_norm")
             c = pa.chunked_array(list(u.chunks) + list(v.chunks), u.type)
@@ -6751,7 +6740,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # tie-break; strict no-parent roots don't exist in cyclic
         # extractions, so hub roots keep the contract non-degenerate),
         # bounded at 4 rounds — both knobs mirrored in the recursive oracle
-        from dygiepp_ray.aggregates import strip_schema_metadata
         from dygiepp_ray.stages.graph import bfs_distances
 
         _ensure_triples_oracle(sf_dir)
@@ -6764,7 +6752,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ).select_columns(["subj_norm", "obj_norm"]).materialize()
         fanout = grouped_count(
             hyp.select_columns(["obj_norm"]).map_batches(
-                lambda t: strip_schema_metadata(t).rename_columns(["node"]),
+                lambda t: t.rename_columns(["node"]),
                 batch_format="pyarrow"),
             ["node"], out_name="n_children")
         seeds = (fanout.sort(["n_children", "node"],
@@ -6911,6 +6899,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
               f"{sum(s.st_size for s in sts):x}-{_code_salt()}")
         store = f"/tmp/dygiepp_ray_kgstore/{_sf_tag(sf_dir)}-{fp}"
         if not _os.path.isdir(store):
+            _prune_other_salts(store, sf_dir)
             tmp = f"{store}.build-{_os.getpid()}"
             _shutil.rmtree(tmp, ignore_errors=True)
             materialize_by_subject(_synth_triples(sf_dir), tmp)
@@ -7038,6 +7027,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         idx = f"/tmp/dygiepp_ray_invidx/{_store_tag(sf_dir, 'documents')}"
         if not _os.path.isdir(idx) or not _os.listdir(idx):
+            _prune_other_salts(idx, sf_dir)
             build_inverted_index(
                 _read(sf_dir, "documents", ["doc_id", "text"]), idx)
         return term_lookup(idx, ["scan", "merge", "window", "zzz-missing"])
@@ -9969,12 +9959,13 @@ def oracle_sql() -> dict[str, str]:
         """,
         "kg_predicate_align": """
             WITH t AS (
-                SELECT doc_id, pred, subj_norm || '|' || obj_norm AS k
+                SELECT doc_id, pred, subj_norm, obj_norm
                 FROM read_parquet('/tmp/dygiepp_ray_oracle/kg_triples.parquet')
             ), a AS (
-                SELECT DISTINCT pred, k FROM t WHERE length(doc_id) % 2 = 0
+                SELECT DISTINCT pred, subj_norm, obj_norm FROM t
+                WHERE length(doc_id) % 2 = 0
             ), b AS (
-                SELECT DISTINCT pred, k FROM t
+                SELECT DISTINCT pred, subj_norm, obj_norm FROM t
                 WHERE length(doc_id) % 2 <> 0
             ), na AS (
                 SELECT pred, count(*) AS n_a FROM a GROUP BY pred
@@ -9983,7 +9974,7 @@ def oracle_sql() -> dict[str, str]:
             ), c AS (
                 SELECT a.pred AS pred_a, b.pred AS pred_b,
                        count(*) AS n_common
-                FROM a JOIN b USING (k) GROUP BY 1, 2
+                FROM a JOIN b USING (subj_norm, obj_norm) GROUP BY 1, 2
             )
             SELECT pred_a, pred_b, n_common, n_a, n_b,
                    CAST(n_common * 1000000 // (n_a + n_b - n_common)

@@ -42,17 +42,34 @@ place a key alike; null keys share one bucket).
 The persisted `bucket` layouts of the build and the dedup stores are not
 keyed-bucket shuffles and stamp their own.
 
+Key model: every primitive and join here takes its key as one column name
+or a list of names, and a composite key is that list — never a
+concatenated string column (a separator can collide: "a|b" + "c" and
+"a" + "b|c") or an arithmetic packing. `_key_buckets` hashes the list's
+columns together and the per-bucket merge runs `on=` the same list.
+
+Input hygiene: the primitives own it, so callers hand them Datasets as
+they are. `_cogroup`'s pad rebuilds each side's table from its arrays and
+`bucket_groups`' stamp drops the schema metadata, so the b'pandas' dict of
+pandas-born blocks (which makes Ray's shuffle schema dedup fail to hash
+the schema and warn once per shuffle) never reaches the shuffle; the block
+partials of `aggregates.grouped_count` / `partial_final_agg` drop it the
+same way. A caller strips it only before a native `groupby` / `sort` /
+`repartition` / `union` of its own.
+
 The joins:
 
 - `broadcast_lookup` — small side `ray.put` once, dict-mapped per batch (J1
   when one side is a dimension table; no shuffle).
-- `hash_join` — the portable big-big equi-join: `_key_buckets(key)` on
-  both sides, one pandas merge per bucket. ONE shuffle, B-way parallel
-  merge, nothing materialized by the caller. Salt knob: raise B for hot keys; a
-  single bucket only ever holds ~|A|/B + |B|/B rows.
+- `hash_join` — the portable big-big equi-join on a column or a column
+  list: `_key_buckets(on)` on both sides, one pandas merge per bucket. ONE
+  shuffle, B-way parallel merge, nothing materialized by the caller. Salt
+  knob: raise B for hot keys; a single bucket only ever holds
+  ~|A|/B + |B|/B rows.
 - `zip_join_assert` — J2 shard-collect semantics: 1:1 key join with
   multiplicity asserts (03_collect_shards.py:36-46), bucketed so each group
-  is a B-th of the keys (vectorized merge), not one tiny pandas frame per key.
+  is a `ZIP_BUCKETS`-th of the keys (vectorized merge), not one tiny
+  pandas frame per key.
 - `asof_join` / `interval_join` — per-bucket `merge_asof` / banded
   equi-merge + range filter.
 - `skew_join` — salting on top of the same co-group: hot left rows spread
@@ -133,7 +150,7 @@ def _key_buckets(t: pa.Table, keys: str | list[str], n_buckets: int) -> pa.Array
     return pa.array((h % np.uint64(n_buckets)).astype(np.int64))
 
 
-def _bucketed(ds: "ray.data.Dataset", cols: list[str], on: str,
+def _bucketed(ds: "ray.data.Dataset", cols: list[str], on: str | list[str],
               n_buckets: int) -> "ray.data.Dataset":
     """`ds` projected to `cols` and stamped with `_key_buckets(on)`."""
 
@@ -327,14 +344,17 @@ def candidate_pairs(rows: "ray.data.Dataset", n_buckets: int, score, keep,
 
 
 def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
-              on: str, n_buckets: int = 32,
+              on: str | list[str], n_buckets: int = 32,
               how: Literal["inner", "left", "outer"] = "inner",
               left_cols: list[str] | None = None,
               right_cols: list[str] | None = None,
               left_types: dict | None = None,
               right_types: dict | None = None,
               bucket_post=None) -> "ray.data.Dataset":
-    """Bucketed hash join of two large Datasets on an integer/string key.
+    """Bucketed hash join of two large Datasets on one key column or a
+    list of them (`on`, any mix of int and string columns): both sides
+    bucket on `_key_buckets(on)`, each bucket runs one pandas merge on the
+    key columns, so a composite key needs no concatenated key column.
 
     `left_types` / `right_types` ({col: pyarrow.DataType}) skip the
     `Dataset.schema()` probes — on a lazy non-read input, schema inference
@@ -351,9 +371,10 @@ def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     a grouped count/sum whose result is tiny) passed here means the full
     joined rows never leave the task — only the per-bucket partials travel,
     turning join→aggregate into ONE shuffle plus a trivial final combine."""
-    lcols = sorted(set(left_cols or (left_types or left.schema().names)) | {on})
-    rcols = sorted(set(right_cols or (right_types or right.schema().names)) | {on})
-    overlap = (set(lcols) & set(rcols)) - {on}
+    keys = [on] if isinstance(on, str) else list(on)
+    lcols = sorted(set(left_cols or (left_types or left.schema().names)) | set(keys))
+    rcols = sorted(set(right_cols or (right_types or right.schema().names)) | set(keys))
+    overlap = (set(lcols) & set(rcols)) - set(keys)
     if overlap:
         # a shared non-key column would come out _x/_y-suffixed from some
         # buckets and unsuffixed from empty ones — reject up front
@@ -363,7 +384,7 @@ def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
         )
 
     def join_bucket(ldf: pd.DataFrame, rdf: pd.DataFrame) -> pd.DataFrame:
-        merged = ldf.merge(rdf, on=on, how=how)
+        merged = ldf.merge(rdf, on=keys, how=how)
         return bucket_post(merged) if bucket_post is not None else merged
 
     return _cogroup(
@@ -374,15 +395,19 @@ def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
         join_bucket)
 
 
+# zip_join_assert's bucket count: each bucket merges 1/64 of the keys
+ZIP_BUCKETS = 64
+
+
 def zip_join_assert(a: "ray.data.Dataset", b: "ray.data.Dataset", on: str,
-                    b_cols: list[str], n_buckets: int = 64,
+                    b_cols: list[str],
                     a_cols: list[str] | None = None) -> "ray.data.Dataset":
     """J2 — 1:1 join with uniqueness asserts (shard-collect semantics).
 
-    Bucketed by hash(key) % B: each bucket merges a B-th of the key space
-    with ONE vectorized pandas merge (per-side key uniqueness + key-set
-    equality asserted per bucket), instead of building a one-row DataFrame
-    per key — millions of tiny groups at scale. Pass `a_cols` to skip the
+    Bucketed by hash(key) % `ZIP_BUCKETS`: each bucket merges that share of
+    the key space with ONE vectorized pandas merge (per-side key uniqueness
+    + key-set equality asserted per bucket), instead of building a one-row
+    DataFrame per key — millions of tiny groups at scale. Pass `a_cols` to skip the
     schema probe (which executes a lazy upstream plan)."""
     a_types = _arrow_types(a) if a_cols is None else {}
     a_cols = list(a_cols) if a_cols is not None else list(a_types)
@@ -397,8 +422,8 @@ def zip_join_assert(a: "ray.data.Dataset", b: "ray.data.Dataset", on: str,
         assert len(merged) == len(av)
         return merged
 
-    return _cogroup(_bucketed(a, a_cols, on, n_buckets), a_cols, a_types,
-                    _bucketed(b, b_cols, on, n_buckets), b_cols, {}, zip_bucket)
+    return _cogroup(_bucketed(a, a_cols, on, ZIP_BUCKETS), a_cols, a_types,
+                    _bucketed(b, b_cols, on, ZIP_BUCKETS), b_cols, {}, zip_bucket)
 
 
 def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
@@ -461,8 +486,7 @@ def interval_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
                   on: str, left_ts: str, right_start: str, right_end: str,
                   left_cols: list[str], right_cols: list[str],
                   bucket_width: int, n_buckets: int = 32,
-                  post_filter=None, left_types: dict | None = None,
-                  right_types: dict | None = None) -> "ray.data.Dataset":
+                  post_filter=None) -> "ray.data.Dataset":
     """Range (interval) join: left row ⨝ right row when `on` keys are equal
     and right_start <= left_ts < right_end (half-open). All three time
     columns are int64 (e.g. epoch micros).
@@ -527,10 +551,10 @@ def interval_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
 
     return _cogroup(
         left.select_columns(lcols).map_batches(stamp_left, batch_format="pyarrow"),
-        [*lcols, "_g"], left_types or _arrow_types(left),
+        [*lcols, "_g"], _arrow_types(left),
         right.select_columns(rcols).map_batches(replicate_right,
                                                 batch_format="pyarrow"),
-        [*rcols, "_g"], right_types or _arrow_types(right), join_bucket)
+        [*rcols, "_g"], _arrow_types(right), join_bucket)
 
 
 def skew_join(left: "ray.data.Dataset", right: "ray.data.Dataset", on: str,

@@ -330,35 +330,31 @@ def calibration_bins(preds: "ray.data.Dataset", gold: "ray.data.Dataset",
     Scale shape: the min/max confidence envelope is ONE tiny global
     aggregate (two scalars broadcast into the binning closure — never the
     rows); bin stamping is a vectorized map; gold membership is ONE
-    bucketed LEFT-join marker pass on the composite key whose bucket_post
-    collapses to per-bin PARTIAL (n, n_correct) pairs, so joined rows never
-    leave the task. Bin arithmetic is float64 with the identical expression
+    bucketed LEFT-join marker pass on the four triple columns whose
+    bucket_post collapses to per-bin PARTIAL (n, n_correct) pairs, so
+    joined rows never leave the task. Bin arithmetic is float64 with the identical expression
     tree on both engines; when the envelope is degenerate (cmax == cmin)
     every row lands in bin 0 by contract."""
     import numpy as np
-    import pyarrow.compute as pc
 
-    from ..aggregates import grouped_count, partial_final_agg, strip_schema_metadata
+    from ..aggregates import grouped_count, partial_final_agg
     from ..joins import hash_join
     from ray.data.aggregate import Max, Min
 
     s_t, i_t = pa.string(), pa.int64()
-    SEP = "\x1f"
+    tri = ["doc_id", "subj_norm", "pred", "obj_norm"]
+    tri_types = dict.fromkeys(tri, s_t)
 
     p = grouped_count(
-        preds.select_columns(["doc_id", "subj_norm", "pred", "obj_norm",
-                              "conf"]),
-        ["doc_id", "subj_norm", "pred", "obj_norm", "conf"], out_name="_c",
+        preds.select_columns([*tri, "conf"]), [*tri, "conf"], out_name="_c",
         salt_buckets=salt_buckets,
-    ).select_columns(["doc_id", "subj_norm", "pred", "obj_norm", "conf"]
-                     ).materialize()
+    ).select_columns([*tri, "conf"]).materialize()
 
     mm = p.aggregate(Min("conf"), Max("conf"))
     cmin = float(mm["min(conf)"])
     cmax = float(mm["max(conf)"])
 
     def stamp_bin(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
         conf = t.column("conf").combine_chunks().cast(pa.float64()).to_numpy(
             zero_copy_only=False)
         if cmax == cmin:
@@ -368,28 +364,13 @@ def calibration_bins(preds: "ray.data.Dataset", gold: "ray.data.Dataset",
                 n_bins - 1,
                 np.floor(((conf - cmin) * float(n_bins)) / (cmax - cmin)
                          ).astype(np.int64))
-        key = pc.binary_join_element_wise(
-            t.column("doc_id").cast(pa.string()),
-            t.column("subj_norm").cast(pa.string()),
-            t.column("pred").cast(pa.string()),
-            t.column("obj_norm").cast(pa.string()), SEP)
-        return pa.table({"tkey": key, "bin": pa.array(b, pa.int64())})
-
-    def gold_keys(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        key = pc.binary_join_element_wise(
-            t.column("doc_id").cast(pa.string()),
-            t.column("subj_norm").cast(pa.string()),
-            t.column("pred").cast(pa.string()),
-            t.column("obj_norm").cast(pa.string()), SEP)
-        return pa.table({"tkey": key})
+        return t.select(tri).append_column("bin", pa.array(b, pa.int64()))
 
     g = grouped_count(
-        gold.select_columns(["doc_id", "subj_norm", "pred", "obj_norm"]
-                            ).map_batches(gold_keys, batch_format="pyarrow"),
-        ["tkey"], out_name="_c", salt_buckets=salt_buckets,
+        gold.select_columns(tri), tri, out_name="_c",
+        salt_buckets=salt_buckets,
     ).map_batches(
-        lambda t: strip_schema_metadata(t).select(["tkey"]).append_column(
+        lambda t: t.select(tri).append_column(
             "_gold", pa.array(np.ones(t.num_rows), pa.float64())),
         batch_format="pyarrow")
 
@@ -404,9 +385,9 @@ def calibration_bins(preds: "ray.data.Dataset", gold: "ray.data.Dataset",
 
     marked = hash_join(
         p.map_batches(stamp_bin, batch_format="pyarrow"), g,
-        on="tkey", how="left", n_buckets=n_buckets,
-        left_types={"tkey": s_t, "bin": i_t},
-        right_types={"tkey": s_t, "_gold": pa.float64()},
+        on=tri, how="left", n_buckets=n_buckets,
+        left_types={**tri_types, "bin": i_t},
+        right_types={**tri_types, "_gold": pa.float64()},
         bucket_post=bin_partials)
 
     agg = partial_final_agg(marked, ["bin"],
@@ -414,7 +395,6 @@ def calibration_bins(preds: "ray.data.Dataset", gold: "ray.data.Dataset",
                              ("n_correct", "c_part", "sum")])
 
     def finish(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
         n = t.column("n_pred").to_numpy(zero_copy_only=False).astype(np.int64)
         c = t.column("n_correct").to_numpy(zero_copy_only=False).astype(
             np.int64)

@@ -683,7 +683,6 @@ def edge_diff(old: "ray.data.Dataset", new: "ray.data.Dataset",
                               ("w_new", "w_new", "sum")])
 
     def status(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
         o = t.column("w_old").to_numpy(zero_copy_only=False)
         n = t.column("w_new").to_numpy(zero_copy_only=False)
         st = np.select([o == 0, n == 0], ["added", "removed"], "changed")
@@ -722,16 +721,10 @@ def functional_conflicts(triples: "ray.data.Dataset",
          ("obj_max", "obj_norm", "max")])
 
     def keep_conflicts(t: pa.Table) -> pa.Table:
-        from ..aggregates import strip_schema_metadata
-
-        t = strip_schema_metadata(t)
         return t.filter(pc.greater(t.column("n_objs"), 1)).select(
             ["subj_norm", "pred", "n_objs", "obj_min", "obj_max"])
 
     return agg.map_batches(keep_conflicts, batch_format="pyarrow")
-
-
-_TRI_SEP = "\x1f"
 
 
 def _distinct_edges(triples: "ray.data.Dataset",
@@ -749,10 +742,7 @@ def _undirected_edges(triples: "ray.data.Dataset",
     """DISTINCT undirected non-loop edge set (u, v) with u < v, from the
     triples table. Materialized — triangle machinery consumes it twice
     (degree attach + closing-edge side)."""
-    from ..aggregates import strip_schema_metadata
-
     def canon(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
         s = t.column("subj_norm").combine_chunks().cast(pa.string())
         o = t.column("obj_norm").combine_chunks().cast(pa.string())
         u = pc.min_element_wise(s, o)
@@ -817,21 +807,17 @@ def _closed_wedges(edges: "ray.data.Dataset", deg: "ray.data.Dataset",
     import numpy as np
     import pandas as pd
 
-    from ..aggregates import strip_schema_metadata
     from ..joins import bucket_groups, hash_join
 
     s_t, i_t = pa.string(), pa.int64()
-    SEP = _TRI_SEP
 
-    d_u = deg.map_batches(
-        lambda t: strip_schema_metadata(t).rename_columns(["u", "deg_u"]),
-        batch_format="pyarrow")
+    d_u = deg.map_batches(lambda t: t.rename_columns(["u", "deg_u"]),
+                          batch_format="pyarrow")
     j1 = hash_join(edges, d_u, on="u", n_buckets=n_buckets,
                    left_types={"u": s_t, "v": s_t},
                    right_types={"u": s_t, "deg_u": i_t})
-    d_v = deg.map_batches(
-        lambda t: strip_schema_metadata(t).rename_columns(["v", "deg_v"]),
-        batch_format="pyarrow")
+    d_v = deg.map_batches(lambda t: t.rename_columns(["v", "deg_v"]),
+                          batch_format="pyarrow")
 
     def orient(m: "pd.DataFrame") -> "pd.DataFrame":
         du = m["deg_u"].to_numpy(np.int64)
@@ -847,25 +833,15 @@ def _closed_wedges(edges: "ray.data.Dataset", deg: "ray.data.Dataset",
                          right_types={"v": s_t, "deg_v": i_t},
                          bucket_post=orient)
 
-    def wedges_of_bucket(df: "pd.DataFrame") -> "pd.DataFrame":
-        w = _neighbor_pairs(df, "src", "dst")
-        w["pair"] = w["x"] + SEP + w["y"]
-        return w
-
-    wedges = bucket_groups(oriented, "src", n_buckets, wedges_of_bucket)
-
-    def edge_pairs(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        return pa.table({"pair": pc.binary_join_element_wise(
-            t.column("u").cast(pa.string()),
-            t.column("v").cast(pa.string()), SEP)})
-
-    closing = edges.map_batches(edge_pairs, batch_format="pyarrow")
+    wedges = bucket_groups(oriented, "src", n_buckets,
+                           lambda df: _neighbor_pairs(df, "src", "dst"))
+    closing = edges.map_batches(lambda t: t.rename_columns(["x", "y"]),
+                                batch_format="pyarrow")
 
     return hash_join(
-        wedges, closing, on="pair", n_buckets=n_buckets,
-        left_types={"src": s_t, "x": s_t, "y": s_t, "pair": s_t},
-        right_types={"pair": s_t},
+        wedges, closing, on=["x", "y"], n_buckets=n_buckets,
+        left_types={"src": s_t, "x": s_t, "y": s_t},
+        right_types={"x": s_t, "y": s_t},
         bucket_post=bucket_post)
 
 
@@ -917,11 +893,10 @@ def edge_support(triples: "ray.data.Dataset", salt_buckets: int = 1,
     import numpy as np
     import pandas as pd
 
-    from ..aggregates import partial_final_agg, strip_schema_metadata
+    from ..aggregates import partial_final_agg
     from ..joins import hash_join
 
     s_t, i_t = pa.string(), pa.int64()
-    SEP = _TRI_SEP
 
     def edge_partials(m: "pd.DataFrame") -> "pd.DataFrame":
         src = m["src"].to_numpy(object)
@@ -940,26 +915,16 @@ def edge_support(triples: "ray.data.Dataset", salt_buckets: int = 1,
                                            n_buckets, edge_partials),
                             ["u", "v"], [("support", "n_part", "sum")])
 
-    def pair_key(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        return t.append_column("pair", pc.binary_join_element_wise(
-            t.column("u").cast(pa.string()),
-            t.column("v").cast(pa.string()), SEP))
-
     def fill(m: "pd.DataFrame") -> "pd.DataFrame":
         s = m["support"].fillna(0).astype("int64")
         return pd.DataFrame({"u": m["u"], "v": m["v"],
                              "support": s,
                              "is_bridge": (s == 0).astype("int64")})
 
-    sup_k = sup.map_batches(pair_key, batch_format="pyarrow").map_batches(
-        lambda t: strip_schema_metadata(t).select(["pair", "support"]),
-        batch_format="pyarrow")
-    edges_k = edges.map_batches(pair_key, batch_format="pyarrow")
-    return hash_join(edges_k, sup_k, on="pair", how="left",
+    return hash_join(edges, sup, on=["u", "v"], how="left",
                      n_buckets=n_buckets,
-                     left_types={"u": s_t, "v": s_t, "pair": s_t},
-                     right_types={"pair": s_t, "support": i_t},
+                     left_types={"u": s_t, "v": s_t},
+                     right_types={"u": s_t, "v": s_t, "support": i_t},
                      bucket_post=fill)
 
 
@@ -1127,7 +1092,7 @@ def entity_kb(triples: "ray.data.Dataset", salt_buckets: int = 1,
     kernel does the degree fills, the top-pred argmax and the alias join in
     vectorized pandas (was: two per-reduce shuffles + four bucketed LEFT
     joins — 6 assembly shuffles → 1)."""
-    from ..aggregates import partial_final_agg, strip_schema_metadata
+    from ..aggregates import partial_final_agg
     from ..joins import bucket_groups
 
     s_t, i_t = pa.string(), pa.int64()
@@ -1140,7 +1105,6 @@ def entity_kb(triples: "ray.data.Dataset", salt_buckets: int = 1,
         typed nulls for the columns the source doesn't carry."""
 
         def fn(t: pa.Table) -> pa.Table:
-            t = strip_schema_metadata(t)
             have = cols_of(t)
             n = t.num_rows
             out = {}
@@ -1154,7 +1118,6 @@ def entity_kb(triples: "ray.data.Dataset", salt_buckets: int = 1,
 
     def both_slots(norm_only: bool):
         def fn(t: pa.Table) -> pa.Table:
-            t = strip_schema_metadata(t)
             cols = {}
             ent = []
             for c in ("subj_norm", "obj_norm"):
@@ -1188,8 +1151,7 @@ def entity_kb(triples: "ray.data.Dataset", salt_buckets: int = 1,
     edges = _distinct_edges(tri, salt_buckets)
     deg_out = partial_final_agg(
         edges.map_batches(
-            lambda t: pa.table(
-                {"entity": strip_schema_metadata(t).column("subj_norm")}),
+            lambda t: pa.table({"entity": t.column("subj_norm")}),
             batch_format="pyarrow"),
         ["entity"], [("out_edges", None, "count")]).map_batches(
         widen(lambda t: {"entity": t.column("entity"),
@@ -1197,8 +1159,7 @@ def entity_kb(triples: "ray.data.Dataset", salt_buckets: int = 1,
         batch_format="pyarrow")
     deg_in = partial_final_agg(
         edges.map_batches(
-            lambda t: pa.table(
-                {"entity": strip_schema_metadata(t).column("obj_norm")}),
+            lambda t: pa.table({"entity": t.column("obj_norm")}),
             batch_format="pyarrow"),
         ["entity"], [("in_edges", None, "count")]).map_batches(
         widen(lambda t: {"entity": t.column("entity"),
@@ -1282,19 +1243,19 @@ def pred_path_counts(triples: "ray.data.Dataset", salt_buckets: int = 1,
     and per-bucket collapse keep the blowup inside one task's arrays."""
     import pandas as pd
 
-    from ..aggregates import partial_final_agg, strip_schema_metadata
+    from ..aggregates import partial_final_agg
     from ..joins import hash_join
 
     s_t = pa.string()
     edges = _distinct_edges(triples, salt_buckets)
 
     into = edges.map_batches(
-        lambda t: strip_schema_metadata(t).select(
-            ["pred", "obj_norm"]).rename_columns(["pred_a", "mid"]),
+        lambda t: t.select(["pred", "obj_norm"]).rename_columns(
+            ["pred_a", "mid"]),
         batch_format="pyarrow")
     outof = edges.map_batches(
-        lambda t: strip_schema_metadata(t).select(
-            ["subj_norm", "pred"]).rename_columns(["mid", "pred_b"]),
+        lambda t: t.select(["subj_norm", "pred"]).rename_columns(
+            ["mid", "pred_b"]),
         batch_format="pyarrow")
 
     def pair_partials(m: "pd.DataFrame") -> "pd.DataFrame":
@@ -1323,13 +1284,12 @@ def _common_neighbor_counts(edges: "ray.data.Dataset",
     whole neighbourhood in one task, whose pair partials collapse before the
     partial+final sum. With `ra_scale`, each shared center z also adds
     floor(ra_scale / deg(z)) to `ra_score`."""
-    from ..aggregates import partial_final_agg, strip_schema_metadata
+    from ..aggregates import partial_final_agg
     from ..joins import bucket_groups, hash_join
 
     s_t, i_t = pa.string(), pa.int64()
 
     def sym(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
         u = t.column("u")
         v = t.column("v")
         typ = u.type
@@ -1372,19 +1332,13 @@ def _common_neighbor_counts(edges: "ray.data.Dataset",
 
 
 def _edge_marks(edges: "ray.data.Dataset") -> "ray.data.Dataset":
-    """(pair, _edge=1.0) per distinct undirected edge, `pair` joined like
+    """(x, y, _edge=1.0) per distinct undirected edge (u, v), named like
     the candidate pairs: the right side of an existing-edge LEFT join."""
     import numpy as np
 
-    from ..aggregates import strip_schema_metadata
-
     def marks(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        pair = pc.binary_join_element_wise(
-            t.column("u").cast(pa.string()),
-            t.column("v").cast(pa.string()), _TRI_SEP)
         return pa.table({
-            "pair": pair,
+            "x": t.column("u"), "y": t.column("v"),
             "_edge": pa.array(np.ones(t.num_rows), pa.float64())})
 
     return edges.map_batches(marks, batch_format="pyarrow")
@@ -1421,7 +1375,6 @@ def link_prediction(triples: "ray.data.Dataset", max_center_degree: int = 64,
     integer SQL (no libm in the hash path). Degrees are the UNCAPPED
     distinct-graph degrees; only centers passing `max_center_degree`
     generate wedges (identical contract to common_neighbors)."""
-    from ..aggregates import strip_schema_metadata
     from ..joins import hash_join
 
     s_t, i_t = pa.string(), pa.int64()
@@ -1429,17 +1382,10 @@ def link_prediction(triples: "ray.data.Dataset", max_center_degree: int = 64,
     edges = _undirected_edges(triples, salt_buckets)
     cand, _ = _common_neighbor_counts(edges, max_center_degree, n_buckets,
                                       ra_scale)
-
-    def keep_min(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        t = t.filter(pc.greater_equal(t.column("common_neighbors"),
-                                      min_common))
-        pair = pc.binary_join_element_wise(
-            t.column("x").cast(pa.string()),
-            t.column("y").cast(pa.string()), _TRI_SEP)
-        return t.append_column("pair", pair)
-
-    cand = cand.map_batches(keep_min, batch_format="pyarrow")
+    cand = cand.map_batches(
+        lambda t: t.filter(pc.greater_equal(t.column("common_neighbors"),
+                                            min_common)),
+        batch_format="pyarrow")
 
     marks = _edge_marks(edges)
 
@@ -1453,13 +1399,13 @@ def link_prediction(triples: "ray.data.Dataset", max_center_degree: int = 64,
             out["ra_score"] = out["ra_score"].astype("int64")
         return out
 
-    left_types = {"x": s_t, "y": s_t, "common_neighbors": i_t, "pair": s_t}
+    left_types = {"x": s_t, "y": s_t, "common_neighbors": i_t}
     if ra_scale:
         left_types["ra_score"] = i_t
-    return hash_join(cand, marks, on="pair", how="left",
+    return hash_join(cand, marks, on=["x", "y"], how="left",
                      n_buckets=n_buckets,
                      left_types=left_types,
-                     right_types={"pair": s_t, "_edge": pa.float64()},
+                     right_types={"x": s_t, "y": s_t, "_edge": pa.float64()},
                      bucket_post=anti_post)
 
 
@@ -1488,24 +1434,19 @@ def neighborhood_jaccard(triples: "ray.data.Dataset",
     partitioning hash-matches the oracle."""
     import pandas as pd
 
-    from ..aggregates import strip_schema_metadata
     from ..joins import hash_join
 
     s_t, i_t = pa.string(), pa.int64()
 
     edges = _undirected_edges(triples, salt_buckets)
     cand, deg = _common_neighbor_counts(edges, max_center_degree, n_buckets)
-
-    def keep_min(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        return t.filter(pc.greater_equal(t.column("common_neighbors"),
-                                         min_common))
-
-    cand = cand.map_batches(keep_min, batch_format="pyarrow")
+    cand = cand.map_batches(
+        lambda t: t.filter(pc.greater_equal(t.column("common_neighbors"),
+                                            min_common)),
+        batch_format="pyarrow")
 
     def renamed_deg(col: str, out: str):
         def fn(t: pa.Table) -> pa.Table:
-            t = strip_schema_metadata(t)
             return pa.table({col: t.column("c"),
                              out: t.column("deg").cast(pa.int64())})
 
@@ -1525,13 +1466,6 @@ def neighborhood_jaccard(triples: "ray.data.Dataset",
                     "deg_x": i_t},
         right_types={"y": s_t, "deg_y": i_t})
 
-    def stamp_pair(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        pair = pc.binary_join_element_wise(
-            t.column("x").cast(pa.string()),
-            t.column("y").cast(pa.string()), _TRI_SEP)
-        return t.append_column("pair", pair)
-
     marks = _edge_marks(edges)
 
     def score_post(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -1547,11 +1481,10 @@ def neighborhood_jaccard(triples: "ray.data.Dataset",
             "is_edge": df["_edge"].notna().to_numpy().astype("int64")})
 
     return hash_join(
-        with_dy.map_batches(stamp_pair, batch_format="pyarrow"), marks,
-        on="pair", how="left", n_buckets=n_buckets,
+        with_dy, marks, on=["x", "y"], how="left", n_buckets=n_buckets,
         left_types={"x": s_t, "y": s_t, "common_neighbors": i_t,
-                    "deg_x": i_t, "deg_y": i_t, "pair": s_t},
-        right_types={"pair": s_t, "_edge": pa.float64()},
+                    "deg_x": i_t, "deg_y": i_t},
+        right_types={"x": s_t, "y": s_t, "_edge": pa.float64()},
         bucket_post=score_post)
 
 
@@ -1581,7 +1514,6 @@ def negative_samples(triples: "ray.data.Dataset", k: int = 2,
 
     import ray
 
-    from ..aggregates import strip_schema_metadata
     from ..joins import hash_join
     from ..stages.dedup import _splitmix64
     from ..stages.sketch import hash64_values
@@ -1592,7 +1524,6 @@ def negative_samples(triples: "ray.data.Dataset", k: int = 2,
     edges = _distinct_edges(triples)
 
     def ents(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
         u, v = t.column("subj_norm"), t.column("obj_norm")
         arr = pa.chunked_array(list(u.chunks) + list(v.chunks), u.type)
         return pa.table({"entity": arr})
@@ -1623,25 +1554,16 @@ def negative_samples(triples: "ray.data.Dataset", k: int = 2,
                 "pred": df["pred"].to_numpy(object)[keep],
                 "obj_neg": cand[keep],
                 "neg_ix": np.full(int(keep.sum()), j, dtype="int64")}))
-        out = pd.concat(parts, ignore_index=True) if parts else pd.DataFrame(
+        return pd.concat(parts, ignore_index=True) if parts else pd.DataFrame(
             {"subj_norm": [], "pred": [], "obj_neg": [], "neg_ix": []})
-        out["tkey"] = (out["subj_norm"].astype(str) + SEP
-                       + out["pred"].astype(str) + SEP
-                       + out["obj_neg"].astype(str))
-        return out
 
     cands = edges.map_batches(draw, batch_format="pandas")
 
     def true_marks(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        tkey = pc.binary_join_element_wise(
-            t.column("subj_norm").cast(pa.string()),
-            t.column("pred").cast(pa.string()),
-            t.column("obj_norm").cast(pa.string()), SEP)
-        import numpy as _np
-
-        return pa.table({"tkey": tkey,
-                         "_true": pa.array(_np.ones(t.num_rows),
+        return pa.table({"subj_norm": t.column("subj_norm"),
+                         "pred": t.column("pred"),
+                         "obj_neg": t.column("obj_norm"),
+                         "_true": pa.array(np.ones(t.num_rows),
                                            pa.float64())})
 
     marks = edges.map_batches(true_marks, batch_format="pyarrow")
@@ -1652,12 +1574,12 @@ def negative_samples(triples: "ray.data.Dataset", k: int = 2,
         out["neg_ix"] = out["neg_ix"].astype("int64")
         return out
 
-    return hash_join(cands, marks, on="tkey", how="left",
-                     n_buckets=n_buckets,
+    return hash_join(cands, marks, on=["subj_norm", "pred", "obj_neg"],
+                     how="left", n_buckets=n_buckets,
                      left_types={"subj_norm": s_t, "pred": s_t,
-                                 "obj_neg": s_t, "neg_ix": i_t,
-                                 "tkey": s_t},
-                     right_types={"tkey": s_t, "_true": pa.float64()},
+                                 "obj_neg": s_t, "neg_ix": i_t},
+                     right_types={"subj_norm": s_t, "pred": s_t,
+                                  "obj_neg": s_t, "_true": pa.float64()},
                      bucket_post=anti_post)
 
 
@@ -1675,7 +1597,7 @@ def inverse_predicates(triples: "ray.data.Dataset", scale: int = 10_000,
     the networkx graph built at scripts/data/shared/make_kb.py:97-103).
 
     Scale shape: one salted grouped count distincts the triple table, then
-    ONE bucketed self-join on the (s, o) pair key against the reversed
+    ONE bucketed self-join on the (s, o) columns against the reversed
     copy, whose `bucket_post` collapses each bucket to per-(pred_a, pred_b)
     PARTIAL counts — matched edge rows never leave the join task and the
     final combine sees ≤ |preds|² rows per bucket. Per-predicate totals are
@@ -1684,27 +1606,20 @@ def inverse_predicates(triples: "ray.data.Dataset", scale: int = 10_000,
     (floor division) so the SQL oracle's `//` mirrors it bit-for-bit."""
     import pandas as pd
 
-    from ..aggregates import partial_final_agg, strip_schema_metadata
+    from ..aggregates import partial_final_agg
     from ..joins import hash_join
 
     s_t, i_t = pa.string(), pa.int64()
-    SEP = "\x1f"
 
     edges = _distinct_edges(triples, salt_buckets)
 
     def fwd(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        key = pc.binary_join_element_wise(
-            t.column("subj_norm").cast(pa.string()),
-            t.column("obj_norm").cast(pa.string()), SEP)
-        return pa.table({"pkey": key, "pred_a": t.column("pred")})
+        return pa.table({"s": t.column("subj_norm"), "o": t.column("obj_norm"),
+                         "pred_a": t.column("pred")})
 
     def rev(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        key = pc.binary_join_element_wise(
-            t.column("obj_norm").cast(pa.string()),
-            t.column("subj_norm").cast(pa.string()), SEP)
-        return pa.table({"pkey": key, "pred_b": t.column("pred")})
+        return pa.table({"s": t.column("obj_norm"), "o": t.column("subj_norm"),
+                         "pred_b": t.column("pred")})
 
     def pair_partials(m: "pd.DataFrame") -> "pd.DataFrame":
         vc = m.groupby(["pred_a", "pred_b"], sort=False).size()
@@ -1716,9 +1631,9 @@ def inverse_predicates(triples: "ray.data.Dataset", scale: int = 10_000,
     matched = hash_join(
         edges.map_batches(fwd, batch_format="pyarrow"),
         edges.map_batches(rev, batch_format="pyarrow"),
-        on="pkey", n_buckets=n_buckets,
-        left_types={"pkey": s_t, "pred_a": s_t},
-        right_types={"pkey": s_t, "pred_b": s_t},
+        on=["s", "o"], n_buckets=n_buckets,
+        left_types={"s": s_t, "o": s_t, "pred_a": s_t},
+        right_types={"s": s_t, "o": s_t, "pred_b": s_t},
         bucket_post=pair_partials)
     inv = partial_final_agg(matched, ["pred_a", "pred_b"],
                             [("n_inv", "n_part", "sum")])
@@ -1726,10 +1641,8 @@ def inverse_predicates(triples: "ray.data.Dataset", scale: int = 10_000,
     totals = grouped_count(
         edges.select_columns(["pred"]), ["pred"], out_name="n_a",
         salt_buckets=salt_buckets,
-    ).map_batches(
-        lambda t: strip_schema_metadata(t).rename_columns(
-            ["pred_a", "n_a"]),
-        batch_format="pyarrow")
+    ).map_batches(lambda t: t.rename_columns(["pred_a", "n_a"]),
+                  batch_format="pyarrow")
 
     def attach_frac(m: "pd.DataFrame") -> "pd.DataFrame":
         n_inv = m["n_inv"].to_numpy("int64")
@@ -1772,11 +1685,10 @@ def rule_mining(triples: "ray.data.Dataset", max_mid_degree: int = 64,
     (x, z) key collapsing to per-rule PARTIAL counts inside the task."""
     import pandas as pd
 
-    from ..aggregates import partial_final_agg, strip_schema_metadata
+    from ..aggregates import partial_final_agg
     from ..joins import hash_join
 
     s_t, i_t = pa.string(), pa.int64()
-    SEP = "\x1f"
 
     edges = _distinct_edges(triples, salt_buckets)
 
@@ -1786,7 +1698,6 @@ def rule_mining(triples: "ray.data.Dataset", max_mid_degree: int = 64,
         # both degree roles in ONE pass over the edge blocks (r4 rework:
         # was two grouped_counts + a bucketed join, re-executed per
         # consumer) — per-block compacted (mid, ind_p, outd_p) partials
-        t = strip_schema_metadata(t)
         df = t.select(["subj_norm", "obj_norm"]).to_pandas()
         o = df.groupby("subj_norm", sort=False).size()
         i = df.groupby("obj_norm", sort=False).size()
@@ -1817,13 +1728,11 @@ def rule_mining(triples: "ray.data.Dataset", max_mid_degree: int = 64,
     mid_ok = deg.map_batches(keep_small, batch_format="pandas").materialize()
 
     into = edges.map_batches(
-        lambda t: strip_schema_metadata(t).select(
-            ["subj_norm", "pred", "obj_norm"]).rename_columns(
+        lambda t: t.select(["subj_norm", "pred", "obj_norm"]).rename_columns(
             ["x", "pred_a", "mid"]),
         batch_format="pyarrow")
     outof = edges.map_batches(
-        lambda t: strip_schema_metadata(t).select(
-            ["subj_norm", "pred", "obj_norm"]).rename_columns(
+        lambda t: t.select(["subj_norm", "pred", "obj_norm"]).rename_columns(
             ["mid", "pred_b", "z"]),
         batch_format="pyarrow")
 
@@ -1853,20 +1762,9 @@ def rule_mining(triples: "ray.data.Dataset", max_mid_degree: int = 64,
                          ["pred_a", "pred_b"], out_name="n_body",
                          salt_buckets=salt_buckets)
 
-    def path_key(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        key = pc.binary_join_element_wise(
-            t.column("x").cast(pa.string()),
-            t.column("z").cast(pa.string()), SEP)
-        return pa.table({"hkey": key, "pred_a": t.column("pred_a"),
-                         "pred_b": t.column("pred_b")})
-
-    def head_key(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        key = pc.binary_join_element_wise(
-            t.column("subj_norm").cast(pa.string()),
-            t.column("obj_norm").cast(pa.string()), SEP)
-        return pa.table({"hkey": key, "pred_c": t.column("pred")})
+    def head(t: pa.Table) -> pa.Table:
+        return pa.table({"x": t.column("subj_norm"), "z": t.column("obj_norm"),
+                         "pred_c": t.column("pred")})
 
     def rule_partials(m: "pd.DataFrame") -> "pd.DataFrame":
         vc = m.groupby(["pred_a", "pred_b", "pred_c"], sort=False).size()
@@ -1877,21 +1775,13 @@ def rule_mining(triples: "ray.data.Dataset", max_mid_degree: int = 64,
                              "n_part": vc.to_numpy("int64")})
 
     closed = hash_join(
-        paths.map_batches(path_key, batch_format="pyarrow"),
-        edges.map_batches(head_key, batch_format="pyarrow"),
-        on="hkey", n_buckets=n_buckets,
-        left_types={"hkey": s_t, "pred_a": s_t, "pred_b": s_t},
-        right_types={"hkey": s_t, "pred_c": s_t},
+        paths, edges.map_batches(head, batch_format="pyarrow"),
+        on=["x", "z"], n_buckets=n_buckets,
+        left_types={"x": s_t, "z": s_t, "pred_a": s_t, "pred_b": s_t},
+        right_types={"x": s_t, "z": s_t, "pred_c": s_t},
         bucket_post=rule_partials)
     sup = partial_final_agg(closed, ["pred_a", "pred_b", "pred_c"],
                             [("n_support", "n_part", "sum")])
-
-    def body_key(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        key = pc.binary_join_element_wise(
-            t.column("pred_a").cast(pa.string()),
-            t.column("pred_b").cast(pa.string()), SEP)
-        return t.append_column("bkey", key)
 
     def attach_conf(m: "pd.DataFrame") -> "pd.DataFrame":
         keep = m["n_support"].to_numpy("int64") >= min_support
@@ -1908,13 +1798,10 @@ def rule_mining(triples: "ray.data.Dataset", max_mid_degree: int = 64,
         })
 
     return hash_join(
-        sup.map_batches(body_key, batch_format="pyarrow"),
-        body.map_batches(body_key, batch_format="pyarrow").select_columns(
-            ["bkey", "n_body"]),
-        on="bkey", n_buckets=4,
-        left_types={"bkey": s_t, "pred_a": s_t, "pred_b": s_t,
-                    "pred_c": s_t, "n_support": i_t},
-        right_types={"bkey": s_t, "n_body": i_t},
+        sup, body, on=["pred_a", "pred_b"], n_buckets=4,
+        left_types={"pred_a": s_t, "pred_b": s_t, "pred_c": s_t,
+                    "n_support": i_t},
+        right_types={"pred_a": s_t, "pred_b": s_t, "n_body": i_t},
         bucket_post=attach_conf)
 
 
@@ -1940,7 +1827,7 @@ def domain_range_signatures(triples: "ray.data.Dataset",
     type dict — the types side streams through the same buckets."""
     import pandas as pd
 
-    from ..aggregates import partial_final_agg, strip_schema_metadata
+    from ..aggregates import partial_final_agg
     from ..joins import hash_join
 
     s_t, i_t = pa.string(), pa.int64()
@@ -1948,12 +1835,12 @@ def domain_range_signatures(triples: "ray.data.Dataset",
     edges = _distinct_edges(triples, salt_buckets)
 
     t_subj = types.map_batches(
-        lambda t: strip_schema_metadata(t).select(
-            ["entity", "etype"]).rename_columns(["subj_norm", "subj_type"]),
+        lambda t: t.select(["entity", "etype"]).rename_columns(
+            ["subj_norm", "subj_type"]),
         batch_format="pyarrow")
     t_obj = types.map_batches(
-        lambda t: strip_schema_metadata(t).select(
-            ["entity", "etype"]).rename_columns(["obj_norm", "obj_type"]),
+        lambda t: t.select(["entity", "etype"]).rename_columns(
+            ["obj_norm", "obj_type"]),
         batch_format="pyarrow")
 
     def fill_subj(m: "pd.DataFrame") -> "pd.DataFrame":
@@ -2030,63 +1917,43 @@ def redundant_edges(triples: "ray.data.Dataset", max_mid_degree: int = 64,
     key emits per-bucket-deduped path rows, a salted grouped count
     finishes the global dedup, and redundancy is ONE more bucketed
     semi-join of the edge table against the path table."""
-    import pandas as pd
-
-    from ..aggregates import strip_schema_metadata
-    from ..joins import hash_join
-
-    s_t = pa.string()
-    SEP = "\x1f"
-
-    edges = _distinct_edges(triples, salt_buckets)
-
-    def legs(t: pa.Table) -> pa.Table:
-        # non-loop edges only — a self-loop leg would make every incident
-        # edge trivially "redundant"
-        t = strip_schema_metadata(t)
-        keep = pc.invert(pc.equal(t.column("subj_norm"),
-                                  t.column("obj_norm")))
-        return t.filter(keep)
-
-    nl = edges.map_batches(legs, batch_format="pyarrow")
-
-    def pm_key(sub: str, mid: str):
-        def fn(t: pa.Table) -> pa.Table:
-            t = strip_schema_metadata(t)
-            key = pc.binary_join_element_wise(
-                t.column("pred").cast(pa.string()),
-                t.column(mid).cast(pa.string()), SEP)
-            return pa.table({"pmkey": key, "pred": t.column("pred"),
-                             "other": t.column(sub)})
-        return fn
-
     import numpy as np
 
     from ..aggregates import partial_final_agg
+    from ..joins import hash_join
 
-    def deg_partials(t: pa.Table) -> "pd.DataFrame":
+    s_t = pa.string()
+
+    edges = _distinct_edges(triples, salt_buckets)
+
+    # non-loop edges only — a self-loop leg would make every incident
+    # edge trivially "redundant"
+    nl = edges.map_batches(
+        lambda t: t.filter(pc.invert(pc.equal(t.column("subj_norm"),
+                                              t.column("obj_norm")))),
+        batch_format="pyarrow")
+
+    def legs(sub: str, mid: str):
+        def fn(t: pa.Table) -> pa.Table:
+            return pa.table({"pred": t.column("pred"), "mid": t.column(mid),
+                             "other": t.column(sub)})
+        return fn
+
+    def deg_roles(t: pa.Table) -> pa.Table:
         # both (pred, mid) degree roles in ONE pass (r4 rework: was two
-        # grouped_counts + a bucketed join, re-executed per consumer)
-        t = strip_schema_metadata(t)
-        pred = t.column("pred").cast(pa.string())
-        k_in = pc.binary_join_element_wise(
-            pred, t.column("obj_norm").cast(pa.string()), SEP)
-        k_out = pc.binary_join_element_wise(
-            pred, t.column("subj_norm").cast(pa.string()), SEP)
-        vin = pd.Series(k_in.to_pandas()).value_counts(sort=False)
-        vout = pd.Series(k_out.to_pandas()).value_counts(sort=False)
-        return pd.concat([
-            pd.DataFrame({"pmkey": vin.index.to_numpy(object),
-                          "ind_p": vin.to_numpy("int64"),
-                          "outd_p": np.zeros(len(vin), dtype=np.int64)}),
-            pd.DataFrame({"pmkey": vout.index.to_numpy(object),
-                          "ind_p": np.zeros(len(vout), dtype=np.int64),
-                          "outd_p": vout.to_numpy("int64")}),
-        ], ignore_index=True)
+        # grouped_counts + a bucketed join, re-executed per consumer); the
+        # per-block combine is partial_final_agg's own
+        one = pa.array(np.ones(t.num_rows, np.int64))
+        zero = pa.array(np.zeros(t.num_rows, np.int64))
+        return pa.concat_tables([
+            pa.table({"pred": t.column("pred"), "mid": t.column("obj_norm"),
+                      "ind_p": one, "outd_p": zero}),
+            pa.table({"pred": t.column("pred"), "mid": t.column("subj_norm"),
+                      "ind_p": zero, "outd_p": one})])
 
     deg = partial_final_agg(
-        nl.map_batches(deg_partials, batch_format="pyarrow"),
-        ["pmkey"], [("ind", "ind_p", "sum"), ("outd", "outd_p", "sum")])
+        nl.map_batches(deg_roles, batch_format="pyarrow"),
+        ["pred", "mid"], [("ind", "ind_p", "sum"), ("outd", "outd_p", "sum")])
 
     def keep_small(m: "pd.DataFrame") -> "pd.DataFrame":
         ind = m["ind"].to_numpy("int64")
@@ -2094,67 +1961,47 @@ def redundant_edges(triples: "ray.data.Dataset", max_mid_degree: int = 64,
         # > 0 on both == the old inner join (mid needs both leg directions)
         ok = (ind > 0) & (outd > 0) & (ind <= max_mid_degree) \
             & (outd <= max_mid_degree)
-        return m.loc[ok, ["pmkey"]]
+        return m.loc[ok, ["pred", "mid"]]
 
     # consumed by two joins below — pin so the degree pass runs once
     mid_ok = deg.map_batches(keep_small, batch_format="pandas").materialize()
 
+    pm = ["pred", "mid"]
     into = hash_join(
-        nl.map_batches(pm_key("subj_norm", "obj_norm"),
-                       batch_format="pyarrow"),
-        mid_ok, on="pmkey", n_buckets=n_buckets,
-        left_types={"pmkey": s_t, "pred": s_t, "other": s_t},
-        right_types={"pmkey": s_t},
+        nl.map_batches(legs("subj_norm", "obj_norm"), batch_format="pyarrow"),
+        mid_ok, on=pm, n_buckets=n_buckets,
+        left_types={"pred": s_t, "mid": s_t, "other": s_t},
+        right_types={"pred": s_t, "mid": s_t},
         bucket_post=lambda m: m.rename(columns={"other": "x"})[
-            ["pmkey", "pred", "x"]])
+            ["pred", "mid", "x"]])
     outof = hash_join(
-        nl.map_batches(pm_key("obj_norm", "subj_norm"),
-                       batch_format="pyarrow"),
-        mid_ok, on="pmkey", n_buckets=n_buckets,
-        left_types={"pmkey": s_t, "pred": s_t, "other": s_t},
-        right_types={"pmkey": s_t},
-        bucket_post=lambda m: m.rename(columns={"other": "z"})[["pmkey", "z"]])
+        nl.map_batches(legs("obj_norm", "subj_norm"), batch_format="pyarrow"),
+        mid_ok, on=pm, n_buckets=n_buckets,
+        left_types={"pred": s_t, "mid": s_t, "other": s_t},
+        right_types={"pred": s_t, "mid": s_t},
+        bucket_post=lambda m: m.rename(columns={"other": "z"})[
+            ["pred", "mid", "z"]])
 
     def path_dedup(m: "pd.DataFrame") -> "pd.DataFrame":
         return m.drop_duplicates(["pred", "x", "z"])[["pred", "x", "z"]]
 
     paths = grouped_count(
-        hash_join(into, outof, on="pmkey", n_buckets=n_buckets,
-                  left_types={"pmkey": s_t, "pred": s_t, "x": s_t},
-                  right_types={"pmkey": s_t, "z": s_t},
+        hash_join(into, outof, on=pm, n_buckets=n_buckets,
+                  left_types={"pred": s_t, "mid": s_t, "x": s_t},
+                  right_types={"pred": s_t, "mid": s_t, "z": s_t},
                   bucket_post=path_dedup),
         ["pred", "x", "z"], out_name="_c", salt_buckets=salt_buckets,
-    ).select_columns(["pred", "x", "z"])
-
-    def edge_key(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        key = pc.binary_join_element_wise(
-            t.column("pred").cast(pa.string()),
-            t.column("subj_norm").cast(pa.string()),
-            t.column("obj_norm").cast(pa.string()), SEP)
-        return pa.table({"ekey": key, "subj_norm": t.column("subj_norm"),
-                         "pred": t.column("pred"),
-                         "obj_norm": t.column("obj_norm")})
-
-    def path_edge_key(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
-        key = pc.binary_join_element_wise(
-            t.column("pred").cast(pa.string()),
-            t.column("x").cast(pa.string()),
-            t.column("z").cast(pa.string()), SEP)
-        return pa.table({"ekey": key})
-
-    def semi_post(m: "pd.DataFrame") -> "pd.DataFrame":
-        return m[["subj_norm", "pred", "obj_norm"]]
+    ).map_batches(
+        lambda t: t.select(["pred", "x", "z"]).rename_columns(
+            ["pred", "subj_norm", "obj_norm"]),
+        batch_format="pyarrow")
 
     return hash_join(
-        edges.map_batches(edge_key, batch_format="pyarrow"),
-        paths.map_batches(path_edge_key, batch_format="pyarrow"),
-        on="ekey", n_buckets=n_buckets,
-        left_types={"ekey": s_t, "subj_norm": s_t, "pred": s_t,
-                    "obj_norm": s_t},
-        right_types={"ekey": s_t},
-        bucket_post=semi_post)
+        edges, paths, on=["subj_norm", "pred", "obj_norm"],
+        n_buckets=n_buckets,
+        left_types={"subj_norm": s_t, "pred": s_t, "obj_norm": s_t},
+        right_types={"subj_norm": s_t, "pred": s_t, "obj_norm": s_t},
+        bucket_post=lambda m: m[["subj_norm", "pred", "obj_norm"]])
 
 
 def functional_repair(triples: "ray.data.Dataset",
@@ -2240,7 +2087,7 @@ def transe_eval(triples: "ray.data.Dataset", dim: int = 16, k_neg: int = 32,
 
     import ray
 
-    from ..aggregates import partial_final_agg, strip_schema_metadata
+    from ..aggregates import partial_final_agg
     from ..stages.dedup import _splitmix64
     from ..stages.sketch import hash64_values
 
@@ -2249,7 +2096,6 @@ def transe_eval(triples: "ray.data.Dataset", dim: int = 16, k_neg: int = 32,
     edges = _distinct_edges(triples)
 
     def ents(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
         u, v = t.column("subj_norm"), t.column("obj_norm")
         arr = pa.chunked_array(list(u.chunks) + list(v.chunks), u.type)
         return pa.table({"entity": arr})

@@ -696,9 +696,6 @@ def remove_dup_spans(docs: "ray.data.Dataset", k: int = 10,
     def dup_only(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        from ..aggregates import strip_schema_metadata
-
-        t = strip_schema_metadata(t)
         return t.filter(pc.greater(t.column("n"), 1)).select(
             ["wh", "keeper"])
 
@@ -766,7 +763,7 @@ def doc_novelty(docs: "ray.data.Dataset", k: int = 10, scale: int = 10_000,
     import pandas as pd
     import pyarrow.compute as pc
 
-    from ..aggregates import grouped_count, partial_final_agg, strip_schema_metadata
+    from ..aggregates import grouped_count, partial_final_agg
     from ..joins import hash_join
 
     i64 = pa.int64()
@@ -803,7 +800,6 @@ def doc_novelty(docs: "ray.data.Dataset", k: int = 10, scale: int = 10_000,
         [("keeper", "packed", "min")])
 
     def winner_doc(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
         doc = pc.divide(t.column("keeper"), _POS_CAP)
         return pa.table({id_col: doc.cast(pa.int64())})
 

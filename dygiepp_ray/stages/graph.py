@@ -64,7 +64,6 @@ def _nodes_of(edges: "ray.data.Dataset", src: str, dst: str) -> "ray.data.Datase
     dedup then a grouped count (shuffle moves ≤ one row per (node, block))."""
 
     def both(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
         chunks = list(t.column(src).chunks) + list(t.column(dst).chunks)
         arr = pa.chunked_array(chunks, t.column(src).type)
         return pa.table({"node": arr.unique()})
@@ -353,7 +352,6 @@ def _symmetrize(edges: "ray.data.Dataset", src: str, dst: str,
     reversed edge keeps its weight); duplicates are the caller's to drop."""
 
     def both(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
         u, v = t.column(src), t.column(dst)
         out = {src: pa.chunked_array(list(u.chunks) + list(v.chunks), u.type),
                dst: pa.chunked_array(list(v.chunks) + list(u.chunks), u.type)}
@@ -464,7 +462,7 @@ def _pagerank_shuffle(edges: "ray.data.Dataset", src: str, dst: str,
     from ..functions.strings import round_half_up
 
     e = edges.select_columns([src, dst]).map_batches(
-        lambda t: strip_schema_metadata(t).rename_columns(["u", "v"]),
+        lambda t: t.rename_columns(["u", "v"]),
         batch_format="pyarrow").materialize()
     nodes = _nodes_of(edges, src, dst).materialize()
     k = nodes.count() if seeds is None else len(seeds)
@@ -478,7 +476,6 @@ def _pagerank_shuffle(edges: "ray.data.Dataset", src: str, dst: str,
         ["node"], [("outdeg", None, "count")]).materialize()
 
     def init_units(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
         if seed_arr is None:
             return t.append_column(
                 "units", pa.array(np.full(t.num_rows, UNITS), pa.int64()))
@@ -590,7 +587,7 @@ def khop_subgraph(edges: "ray.data.Dataset", seeds: "ray.data.Dataset",
             frontier = grouped_count(
                 eh.select_columns([dst]), [dst], out_name="_n"
             ).map_batches(
-                lambda t: strip_schema_metadata(t).select([dst]).rename_columns([src]),
+                lambda t: t.select([dst]).rename_columns([src]),
                 batch_format="pyarrow")
 
     union = per_hop[0]
@@ -629,7 +626,6 @@ def _dedup_undirected(edges: "ray.data.Dataset", src: str,
                       dst: str) -> "ray.data.Dataset":
     """Distinct undirected (u < v) edge table, self-loops dropped."""
     def canon(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
         a = t.column(src).combine_chunks().cast(pa.string())
         b = t.column(dst).combine_chunks().cast(pa.string())
         u = pc.min_element_wise(a, b)
@@ -691,7 +687,6 @@ def _kcore_shuffle(edges: "ray.data.Dataset", src: str, dst: str,
     alive = _dedup_undirected(edges, src, dst).materialize()
 
     def explode(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
         typ = t.column("u").type
         a = pa.chunked_array(list(t.column("u").chunks)
                              + list(t.column("v").chunks), typ)
@@ -703,7 +698,6 @@ def _kcore_shuffle(edges: "ray.data.Dataset", src: str, dst: str,
 
     def mark(name_col: str):
         def fn(t: pa.Table) -> pa.Table:
-            t = strip_schema_metadata(t)
             t = t.rename_columns([name_col])
             return t.append_column(
                 "_low", pa.array(np.ones(t.num_rows), pa.float64()))
@@ -818,13 +812,11 @@ def bfs_distances(edges: "ray.data.Dataset", seeds: "ray.data.Dataset",
 
     adj = _bfs_adjacency(edges, src, dst, undirected)
     rounds: list["ray.data.Dataset"] = [
-        seeds.map_batches(
-            lambda t: strip_schema_metadata(t).select(["node"]),
-            batch_format="pyarrow").map_batches(
+        seeds.map_batches(lambda t: t.select(["node"]),
+                          batch_format="pyarrow").map_batches(
             _stamp_dist(0), batch_format="pyarrow").materialize()]
     frontier = rounds[0].map_batches(
-        lambda t: strip_schema_metadata(t).select(
-            ["node"]).rename_columns([src]),
+        lambda t: t.select(["node"]).rename_columns([src]),
         batch_format="pyarrow")
     for h in range(1, max_rounds + 1):
         reached = hash_join(
@@ -834,15 +826,13 @@ def bfs_distances(edges: "ray.data.Dataset", seeds: "ray.data.Dataset",
         nodes = grouped_count(
             reached.select_columns([dst]), [dst], out_name="_c"
         ).map_batches(
-            lambda t: strip_schema_metadata(t).select(
-                [dst]).rename_columns(["node"]),
+            lambda t: t.select([dst]).rename_columns(["node"]),
             batch_format="pyarrow").map_batches(
             _stamp_dist(h), batch_format="pyarrow").materialize()
         rounds.append(nodes)
         if h < max_rounds:
             frontier = nodes.map_batches(
-                lambda t: strip_schema_metadata(t).select(
-                    ["node"]).rename_columns([src]),
+                lambda t: t.select(["node"]).rename_columns([src]),
                 batch_format="pyarrow")
 
     union = rounds[0]
@@ -872,7 +862,6 @@ def bfs_distances_per_seed(edges: "ray.data.Dataset",
     adj = _bfs_adjacency(edges, src, dst, undirected)
 
     def seed_self(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
         return pa.table({"node": t.column("node"),
                          "seed": t.column("node")})
 
@@ -880,8 +869,7 @@ def bfs_distances_per_seed(edges: "ray.data.Dataset",
         seeds.map_batches(seed_self, batch_format="pyarrow").map_batches(
             _stamp_dist(0), batch_format="pyarrow").materialize()]
     frontier = rounds[0].map_batches(
-        lambda t: strip_schema_metadata(t).select(
-            ["node", "seed"]).rename_columns([src, "seed"]),
+        lambda t: t.select(["node", "seed"]).rename_columns([src, "seed"]),
         batch_format="pyarrow")
     for h in range(1, max_rounds + 1):
         reached = hash_join(
@@ -893,15 +881,14 @@ def bfs_distances_per_seed(edges: "ray.data.Dataset",
             reached.select_columns([dst, "seed"]), [dst, "seed"],
             out_name="_c"
         ).map_batches(
-            lambda t: strip_schema_metadata(t).select(
-                [dst, "seed"]).rename_columns(["node", "seed"]),
+            lambda t: t.select([dst, "seed"]).rename_columns(["node", "seed"]),
             batch_format="pyarrow").map_batches(
             _stamp_dist(h), batch_format="pyarrow").materialize()
         rounds.append(nodes)
         if h < max_rounds:
             frontier = nodes.map_batches(
-                lambda t: strip_schema_metadata(t).select(
-                    ["node", "seed"]).rename_columns([src, "seed"]),
+                lambda t: t.select(["node", "seed"]).rename_columns(
+                    [src, "seed"]),
                 batch_format="pyarrow")
 
     union = rounds[0]
@@ -1081,8 +1068,7 @@ def _scc_shuffle(edges: "ray.data.Dataset", src: str, dst: str,
 
     # distinct directed edge set (duplicates only inflate the joins)
     e = partial_final_agg(
-        ren(edges.select_columns([src, dst]).map_batches(
-            strip_schema_metadata, batch_format="pyarrow"), ["u", "v"]),
+        ren(edges.select_columns([src, dst]), ["u", "v"]),
         ["u", "v"], [("_n", None, "count")],
     ).select_columns(["u", "v"]).materialize()
     alive = _nodes_of(edges, src, dst).materialize()
@@ -1618,12 +1604,11 @@ def weighted_min_distances(edges_w: "ray.data.Dataset",
 
     def as_frontier(ds):
         return ds.map_batches(
-            lambda t: strip_schema_metadata(t).select(
-                ["node", "dist"]).rename_columns([src, "dist"]),
+            lambda t: t.select(["node", "dist"]).rename_columns(
+                [src, "dist"]),
             batch_format="pyarrow")
 
     def stamp0(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
         return pa.table({"node": t.column("node"),
                          "dist": pa.array(np.zeros(t.num_rows, np.int64),
                                           i_t)})

@@ -208,7 +208,7 @@ def alias_merge_edges(triples: "ray.data.Dataset", threshold: float = 0.5,
     """
     import pyarrow as pa
 
-    from ..aggregates import grouped_count, strip_schema_metadata
+    from ..aggregates import grouped_count
     from ..joins import hash_join
     from .graph import connected_components
 
@@ -216,7 +216,6 @@ def alias_merge_edges(triples: "ray.data.Dataset", threshold: float = 0.5,
         ["subj", "pred", "obj", "subj_norm", "obj_norm"]).materialize()
 
     def explode_names(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
         cols = [t.column(c).combine_chunks().cast(pa.string())
                 for c in ("subj", "obj", "subj_norm", "obj_norm")]
         chunks = []
@@ -246,7 +245,7 @@ def alias_merge_edges(triples: "ray.data.Dataset", threshold: float = 0.5,
         return post
 
     m_s = mapping.map_batches(
-        lambda t: strip_schema_metadata(t).rename_columns(["subj", "component"]),
+        lambda t: t.rename_columns(["subj", "component"]),
         batch_format="pyarrow")
     j1 = hash_join(tri.select_columns(["subj", "pred", "obj"]), m_s,
                    on="subj", how="left", n_buckets=n_buckets,
@@ -254,7 +253,7 @@ def alias_merge_edges(triples: "ray.data.Dataset", threshold: float = 0.5,
                    right_types={"subj": pa.string(), "component": pa.string()},
                    bucket_post=rekey("subj", "subj_canon"))
     m_o = mapping.map_batches(
-        lambda t: strip_schema_metadata(t).rename_columns(["obj", "component"]),
+        lambda t: t.rename_columns(["obj", "component"]),
         batch_format="pyarrow")
     j2 = hash_join(j1, m_o, on="obj", how="left", n_buckets=n_buckets,
                    left_types={"subj_canon": pa.string(), "pred": pa.string(),
@@ -368,7 +367,7 @@ def alias_type_conflicts(triples: "ray.data.Dataset",
     one Ray group per component."""
     import pyarrow as pa
 
-    from ..aggregates import grouped_count, strip_schema_metadata
+    from ..aggregates import grouped_count
     from ..joins import bucket_groups, hash_join
     from .graph import connected_components
 
@@ -378,7 +377,6 @@ def alias_type_conflicts(triples: "ray.data.Dataset",
         ["subj", "obj", "subj_norm", "obj_norm"]).materialize()
 
     def explode_names(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
         cols = [t.column(c).combine_chunks().cast(pa.string())
                 for c in ("subj", "obj", "subj_norm", "obj_norm")]
         chunks = []
@@ -402,7 +400,7 @@ def alias_type_conflicts(triples: "ray.data.Dataset",
 
     full_map = hash_join(
         names, mapping.map_batches(
-            lambda t: strip_schema_metadata(t).rename_columns(
+            lambda t: t.rename_columns(
                 ["name", "component"]),
             batch_format="pyarrow"),
         on="name", how="left", n_buckets=n_buckets,
@@ -411,7 +409,7 @@ def alias_type_conflicts(triples: "ray.data.Dataset",
         bucket_post=fill_self)
 
     t_side = types.map_batches(
-        lambda t: strip_schema_metadata(t).select(
+        lambda t: t.select(
             ["entity", "etype"]).rename_columns(["name", "etype"]),
         batch_format="pyarrow")
 
@@ -460,13 +458,12 @@ def alias_blocking_recall(triples: "ray.data.Dataset",
     all-pairs walk at tiny scale)."""
     import pyarrow as pa
 
-    from ..aggregates import grouped_count, strip_schema_metadata
+    from ..aggregates import grouped_count
 
     tri = triples.select_columns(
         ["subj", "obj", "subj_norm", "obj_norm"]).materialize()
 
     def explode_names(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
         cols = [t.column(c).combine_chunks().cast(pa.string())
                 for c in ("subj", "obj", "subj_norm", "obj_norm")]
         chunks = []

@@ -21,7 +21,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..aggregates import partial_final_agg, strip_schema_metadata
+from ..aggregates import partial_final_agg
 from .prep import stamp_sha256
 
 _WIDE_COLS = ["n_files", "n_langs", "n_commits", "n_distinct_content",
@@ -32,7 +32,6 @@ def _block_tag_partials(t: pa.Table) -> pd.DataFrame:
     """Per-block compaction: straight partials (file count, byte sum) as
     `__files` / `__bytes` rows, plus per-block-DEDUPED (repo, kind, value)
     rows for the three distinct-counted attributes."""
-    t = strip_schema_metadata(t)
     nb = pc.cast(pc.binary_length(t.column("content")), pa.int64())
     per_repo = (pa.table({"repo": t.column("repo"), "nb": nb})
                 .group_by(["repo"]).aggregate([("nb", "sum"), ([], "count_all")])
@@ -105,7 +104,6 @@ def cross_repo_clones(corpus: "ray.data.Dataset",
                                 ("first_repo", "repo", "min")])
 
     def finish(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
         t = t.filter(pc.greater_equal(t.column("n_repos"),
                                       pa.scalar(min_repos, pa.int64())))
         return pa.table({

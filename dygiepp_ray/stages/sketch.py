@@ -195,7 +195,6 @@ def histogram_quantiles(ds: "ray.data.Dataset", col: str,
     discipline), reported as the bin's UPPER edge rounded half-up to 6
     decimals. Every float expression (bin = floor((x−lo)·scale), edge
     value) is simple enough to mirror verbatim in a SQL oracle."""
-    from ..aggregates import strip_schema_metadata
     from ..functions.strings import round_half_up
 
     nb = 1 << bits
@@ -212,7 +211,6 @@ def histogram_quantiles(ds: "ray.data.Dataset", col: str,
                              ["bin"], [("n", "n", "sum")])
 
     def pick(t: pa.Table) -> pa.Table:
-        t = strip_schema_metadata(t)
         df = t.to_pandas().sort_values("bin")
         cum = df["n"].to_numpy(np.int64).cumsum()
         bins = df["bin"].to_numpy(np.int64)

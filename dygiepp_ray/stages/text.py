@@ -245,9 +245,6 @@ def heavy_hitters(ds, col: str, k: int = 20, m: int | None = None):
         # multiplicity (huge for Zipfian token streams). The expensive
         # upstream (tokenize + explode) thus executes exactly once instead
         # of once per pass (summary / total / recount).
-        from ..aggregates import strip_schema_metadata
-
-        t = strip_schema_metadata(t)
         g = t.select([col]).group_by([col]).aggregate([([], "count_all")])
         return pa.table({col: g[col],
                          "_w": pc.cast(g["count_all"], pa.int64())})

@@ -57,6 +57,36 @@ def test_kg_build_resume_builds_fresh_on_every_call(monkeypatch):
     assert not any(os.path.exists(out) for out, _ in calls)
 
 
+def test_store_build_removes_other_salt_stores():
+    """Building a persisted store deletes what an older code salt left for
+    the same sf tier in that store family (finished stores and `.build-`
+    leftovers alike), and keeps the new store and other tiers' stores."""
+    import inspect
+    import os
+    import shutil
+
+    from scripts import check_correctness
+
+    m = _entrymod()
+    # the sf0.001 tier the correctness gate runs by default
+    sf = inspect.signature(check_correctness.main).parameters["sf_dir"].default
+    family = "/tmp/dygiepp_ray_invidx"
+    store = os.path.join(family, m._store_tag(sf, "documents"))
+    shutil.rmtree(store, ignore_errors=True)  # the query must build it
+    old = os.path.join(family, "sf0.001-0-0-000000000000")
+    other_tier = os.path.join(family, "sf0.01-0-0-000000000000")
+    for d in (old, f"{old}.build-1", other_tier):
+        os.makedirs(d, exist_ok=True)
+    try:
+        m.queries()["term_postings"](sf).materialize()
+        assert not os.path.exists(old)
+        assert not os.path.exists(f"{old}.build-1")
+        assert os.path.isdir(store) and os.listdir(store)
+        assert os.path.isdir(other_tier)
+    finally:
+        shutil.rmtree(other_tier, ignore_errors=True)
+
+
 def test_entry_runs():
     m = _entrymod()
     res = m.entry()

@@ -73,6 +73,90 @@ def test_hash_join_string_key():
     assert sorted(zip(got["k"], got["x"], got["y"])) == sorted(zip(want["k"], want["x"], want["y"]))
 
 
+@pytest.mark.parametrize("how", ["inner", "left", "outer"])
+def test_hash_join_column_list_keys(how):
+    """`on` as a list [int col, str col] joins like `pandas.merge` on the
+    same list, although an upstream pandas filter leaves 9 of the 10 input
+    blocks of each side empty; the int key column stays int64. The string
+    column holds separator-like values ("a|b"), which a concatenated key
+    column would merge with other keys."""
+    rng = np.random.RandomState(11)
+    strs = np.array(["a", "b", "a|b", "b|", "|b", ""], dtype=object)
+
+    def frame(n, val):
+        return pd.DataFrame({"n": rng.randint(0, 4, n).astype(np.int64),
+                             "s": strs[rng.randint(0, len(strs), n)],
+                             val: [f"{val}{i}" for i in range(n)],
+                             "blk": np.arange(n) % 10})
+
+    left, right = frame(1000, "lv"), frame(300, "rv")
+
+    def one_block(df: pd.DataFrame) -> pd.DataFrame:
+        return df[df["blk"] == 3].drop(columns=["blk"])
+
+    def ds_of(df: pd.DataFrame) -> "ray.data.Dataset":
+        parts = [df[df["blk"] == b] for b in range(10)]
+        return ray.data.from_pandas(parts).map_batches(
+            one_block, batch_format="pandas")
+
+    got = hash_join(ds_of(left), ds_of(right), on=["n", "s"], n_buckets=4,
+                    how=how).to_pandas()
+    want = one_block(left).merge(one_block(right), on=["n", "s"], how=how)
+    assert len(want) > 20
+    if how != "inner":
+        assert want["rv" if how == "left" else "lv"].isna().any()
+    assert str(got["n"].dtype) == "int64"
+    cols = ["n", "s", "lv", "rv"]
+    order = ["n", "s", "lv", "rv"]
+    got_s = got[cols].sort_values(order, na_position="last").reset_index(drop=True)
+    want_s = want[cols].sort_values(order, na_position="last").reset_index(drop=True)
+    pd.testing.assert_frame_equal(got_s.fillna("·"), want_s.fillna("·"),
+                                  check_dtype=False)
+
+
+def test_shuffle_primitives_own_schema_metadata_hygiene(caplog):
+    """Blocks carrying pandas' b'pandas' schema metadata go through
+    `hash_join`, `bucket_groups`, `grouped_count` and `partial_final_agg`
+    without Ray's "Failed to hash the schemas" warning: the primitives drop
+    the metadata before their shuffle, so callers need not strip it. A
+    native groupby on the same input shows the warning does fire."""
+    import logging
+
+    import pyarrow as pa
+
+    from dygiepp_ray.aggregates import grouped_count, partial_final_agg
+
+    tabs = [pa.Table.from_pandas(pd.DataFrame({
+        "k": np.arange(i * 5, i * 5 + 5) % 7,
+        "s": [f"s{j % 3}" for j in range(5)],
+        "v": np.arange(5) + i})) for i in range(4)]
+    assert all(b"pandas" in t.schema.metadata for t in tabs)
+    ds = ray.data.from_arrow(tabs)
+    right = ray.data.from_arrow([pa.Table.from_pandas(
+        pd.DataFrame({"k": np.arange(7), "w": np.arange(7) * 2}))])
+
+    # Ray's data loggers do not propagate to the root logger caplog watches
+    logger = logging.getLogger("ray.data._internal.arrow_ops.transform_pyarrow")
+    logger.addHandler(caplog.handler)
+    try:
+        def warned(run) -> bool:
+            caplog.clear()
+            run()
+            return any("Failed to hash the schemas" in r.getMessage()
+                       for r in caplog.records)
+
+        assert warned(lambda: ds.groupby("k").count().take_all())
+        assert not warned(lambda: hash_join(ds, right, on="k",
+                                            n_buckets=4).take_all())
+        assert not warned(lambda: bucket_groups(
+            ds, ["k", "s"], 4, lambda df: df).take_all())
+        assert not warned(lambda: grouped_count(ds, ["k"]).take_all())
+        assert not warned(lambda: partial_final_agg(
+            ds, ["k"], [("n", None, "count")]).take_all())
+    finally:
+        logger.removeHandler(caplog.handler)
+
+
 def test_hash_join_bucket_post_aggregate(tables):
     # aggregate-pushdown: per-bucket reduction inside the join task sums to
     # the same totals as aggregating the full joined rows
@@ -397,3 +481,83 @@ def test_one_sided_bucket_shuffles_use_bucket_groups():
         assert joins_src.count(needle) == primitive.count(needle) == 1
     assert {hit.rsplit(":", 1)[0] for hit in lines_with('groupby("_bucket")')
             } == {"dygiepp_ray/joins.py"}
+
+
+def test_composite_keys_and_shuffle_hygiene_live_in_the_primitives():
+    """Joins take column-list keys, so no engine code builds a composite
+    key column, and the shuffle primitives clean their own inputs:
+
+    - `_TRI_SEP` is gone;
+    - outside `oracle.py`, `binary_join_element_wise` and the "\\x1f"
+      separator appear only where a key is hashed into an output value or
+      checked against a driver-side set, never in front of a join;
+    - `strip_schema_metadata(` is called only in `aggregates.py`,
+      `joins.py` and the native-shuffle sites listed below."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    pkg = root / "dygiepp_ray"
+    sources = [p for p in sorted(pkg.rglob("*.py")) if p.name != "oracle.py"]
+    sources.append(root / "__ray_entry__.py")
+
+    def hits(needle: str) -> dict[tuple[str, int], list[str]]:
+        """{(file, line): names of the functions around it, outermost
+        first} for every source line holding `needle`."""
+        out = {}
+        for path in sources:
+            text = path.read_text()
+            funcs = [n for n in ast.walk(ast.parse(text))
+                     if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            for i, line in enumerate(text.splitlines(), 1):
+                if needle in line:
+                    around = sorted((f for f in funcs
+                                     if f.lineno <= i <= f.end_lineno),
+                                    key=lambda f: f.lineno)
+                    out[(str(path.relative_to(root)), i)] = [
+                        f.name for f in around]
+        return out
+
+    def sites(found: dict, allowed: dict, files=()) -> set:
+        """The `allowed` (file, function) entries the hits fall in; a hit
+        outside all of them and outside `files` fails the test."""
+        used = set()
+        for (path, line), names in found.items():
+            site = [(path, n) for n in names if (path, n) in allowed]
+            assert site or path in files, f"{path}:{line}"
+            used.update(site)
+        return used
+
+    assert hits("_TRI_SEP") == {}
+
+    key_sites = {
+        ("dygiepp_ray/pipelines/kg.py", "negative_samples"):
+            "hashes the edge into its deterministic negative draw",
+        ("dygiepp_ray/pipelines/kg.py", "transe_eval"):
+            "hashes the edge with negative_samples' corruption protocol",
+        ("dygiepp_ray/stages/dedup.py", "contrastive_pairs"):
+            "hashes the pair into its deterministic negative draw",
+        ("dygiepp_ray/pipelines/sweep.py", "eval_sweep"):
+            "probes a driver-side gold-key set",
+        ("__ray_entry__.py", "q_kg_p_at_k"):
+            "probes a driver-side gold-key set with is_in",
+    }
+    assert set().union(*(sites(hits(needle), key_sites) for needle in (
+        "binary_join_element_wise", '"\\x1f"'))) == set(key_sites)
+
+    native_shuffle_sites = {
+        ("dygiepp_ray/stages/dedup.py", "_text_sha"):
+            "exact_duplicates groups the stamped rows with a native groupby",
+        ("dygiepp_ray/stages/graph.py", "khop_subgraph"):
+            "the per-hop edge sets meet in a native union",
+        ("dygiepp_ray/stages/graph.py", "_kcore_shuffle"):
+            "the per-k core rows meet in a native union",
+        ("dygiepp_ray/stages/graph.py", "_stamp_dist"):
+            "the BFS round tables meet in a native union",
+        ("dygiepp_ray/pipelines/kg.py", "edge_diff"):
+            "the zero-padded sides meet in a native union",
+    }
+    strips = hits("strip_schema_metadata(")
+    assert sites(strips, native_shuffle_sites, {
+        "dygiepp_ray/aggregates.py", "dygiepp_ray/joins.py"}
+    ) == set(native_shuffle_sites)
